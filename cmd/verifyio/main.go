@@ -16,9 +16,11 @@
 // conflict detection, MPI matching and the cache digests consume each record
 // batch as it decodes, so peak memory is bounded by the decode window
 // (-window BYTES, default 4 MiB, negative = unbounded) rather than the trace
-// size. Reports are identical to the materializing path; only the Timing
-// split differs (the fused pass reports DetectMatchWall). -diagnose needs
-// the materialized trace and cannot be combined with -stream.
+// size. With -workers N the rank files decode N at a time (at most one per
+// rank), each on its own worker with an equal share of the window. Reports
+// are identical to the materializing path; only the Timing split differs
+// (the fused pass reports DetectMatchWall). -diagnose needs the materialized
+// trace and cannot be combined with -stream.
 //
 // -cache-dir attaches a persistent verdict cache: chunks of the verification
 // plan are memoized by content digest, so re-running over an unchanged trace

@@ -3,6 +3,7 @@ package conflict
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"verifyio/internal/trace"
@@ -82,6 +83,34 @@ func BenchmarkOffsetReplay(b *testing.B) {
 		}
 		if len(res.Ops) != 10000 {
 			b.Fatalf("ops = %d", len(res.Ops))
+		}
+	}
+}
+
+// BenchmarkIntervalSort compares the two interval sorts sortByStart picks
+// between, on one file's worth of random start offsets; radixCutoff is the
+// smallest size at which radix wins.
+func BenchmarkIntervalSort(b *testing.B) {
+	for _, n := range []int{32, 64, 128, 256, 512, 1024, 16384} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i].Start = rng.Int63n(1 << 30)
+		}
+		w := make([]int32, n)
+		for name, sorter := range map[string]func([]Op, []int32, *sortScratch){
+			"compare": func(ops []Op, w []int32, _ *sortScratch) { slices.SortFunc(w, startOrder(ops)) },
+			"radix":   radixSortByStart,
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
+				var sc sortScratch
+				for i := 0; i < b.N; i++ {
+					for j := range w {
+						w[j] = int32(j)
+					}
+					sorter(ops, w, &sc)
+				}
+			})
 		}
 	}
 }

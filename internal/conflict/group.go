@@ -278,6 +278,81 @@ func rangeBounds(off []int64, n, K int) []int {
 	return bounds
 }
 
+// radixCutoff is the interval count from which sortByStart switches from
+// the comparison sort to the radix sort. In BenchmarkIntervalSort (2-core
+// x86-64, Go 1.24) the two tie at 64 random starts; radix is 1.8x faster
+// at 128 and 7x faster at 16k, and 1.8x slower at 32, where clearing its
+// histograms dominates.
+const radixCutoff = 64
+
+// sortScratch holds one worker's radix-sort buffers, grown to the largest
+// file it has sorted and reused for the next.
+type sortScratch struct {
+	keys, keys2 []uint64
+	idx2        []int32
+}
+
+// sortScratchBytes is the radix scratch for sorting m intervals: two key
+// arrays and one index array.
+func sortScratchBytes(m int) int64 { return int64(m) * (8 + 8 + 4) }
+
+// sortByStart orders a file's interval index w by (Start, op index). w
+// arrives ascending by op index — (rank, seq) order, since Ops is
+// rank-major — so a stable sort on Start alone yields exactly that order.
+// From radixCutoff intervals on it is a stable LSD radix sort over the
+// eight bytes of the start offset, with the sign bit flipped so negative
+// offsets order before positive ones; bytes on which every key agrees are
+// skipped.
+func sortByStart(ops []Op, w []int32, sc *sortScratch) {
+	if len(w) < radixCutoff {
+		slices.SortFunc(w, func(a, b int32) int {
+			if c := cmp.Compare(ops[a].Start, ops[b].Start); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return
+	}
+	radixSortByStart(ops, w, sc)
+}
+
+func radixSortByStart(ops []Op, w []int32, sc *sortScratch) {
+	n := len(w)
+	if cap(sc.keys) < n {
+		sc.keys, sc.keys2, sc.idx2 = make([]uint64, n), make([]uint64, n), make([]int32, n)
+	}
+	keys, keys2, idx2 := sc.keys[:n], sc.keys2[:n], sc.idx2[:n]
+	var counts [8][256]int
+	for i, v := range w {
+		k := uint64(ops[v].Start) ^ 1<<63
+		keys[i] = k
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst, si, di := keys, keys2, w, idx2
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(src[0]>>(8*d))] == n {
+			continue // every key has this byte
+		}
+		sum := 0
+		for b := range c {
+			c[b], sum = sum, sum+c[b]
+		}
+		for i, k := range src {
+			b := byte(k >> (8 * d))
+			dst[c[b]] = k
+			di[c[b]] = si[i]
+			c[b]++
+		}
+		src, dst, si, di = dst, src, di, si
+	}
+	if &si[0] != &w[0] {
+		copy(w, si)
+	}
+}
+
 // detectPairs runs the sort-and-sweep over per-file interval lists (the
 // paper's conflict_detection pseudocode) and builds the conflict groups
 // without ever materializing a pair list.
@@ -339,21 +414,32 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	tasks := make([]sweepSlice, taskOff[nfiles])
 
 	sortCtx, sortSpan := sc.Start("sweep-sort", obs.Int("tasks", len(tasks)))
+	// One radix scratch per concurrently running sort, reused across files.
+	// At most min(workers, nfiles) sorts run at once, so taking a scratch
+	// never blocks.
+	pool := make(chan *sortScratch, min(par.Resolve(workers), nfiles))
+	for range cap(pool) {
+		pool <- &sortScratch{}
+	}
 	par.DoObs(sortCtx, "detect-sort", workers, nfiles, func(f int) {
 		w := idx[fileOff[f]:fileOff[f+1]]
 		if len(w) == 0 {
 			return
 		}
-		slices.SortFunc(w, func(a, b int32) int {
-			oa, ob := &ops[a], &ops[b]
-			if oa.Start != ob.Start {
-				return cmp.Compare(oa.Start, ob.Start)
-			}
-			// Op index order is (rank, seq) order: Ops is rank-major.
-			return cmp.Compare(a, b)
-		})
+		scratch := <-pool
+		sortByStart(ops, w, scratch)
+		pool <- scratch
 		sliceFile(ops, w, f, tasks[taskOff[f]:taskOff[f+1]])
 	})
+	maxRadix := 0
+	for f := 0; f < nfiles; f++ {
+		if m := int(fileOff[f+1] - fileOff[f]); m >= radixCutoff && m > maxRadix {
+			maxRadix = m
+		}
+	}
+	if r := oc.R; r != nil {
+		r.Gauge("conflict.sort_scratch_bytes").Set(sortScratchBytes(maxRadix))
+	}
 	sortSpan.End()
 
 	var carryOps int64

@@ -2,8 +2,10 @@ package conflict
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -260,5 +262,83 @@ func TestStreamDetectorMatchesMaterialized(t *testing.T) {
 		if fp := resultFingerprint(t, res); !bytes.Equal(fp, want) {
 			t.Errorf("workers=%d: streamed Result differs from materialized", workers)
 		}
+	}
+}
+
+// startOrder is the (Start, index) comparator the interval sort must
+// reproduce.
+func startOrder(ops []Op) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(ops[a].Start, ops[b].Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// TestSortByStartMatchesComparisonSort checks the radix interval sort
+// against slices.SortFunc with the (Start, index) comparator on random,
+// duplicate-heavy, all-equal, negative and extreme starts, at sizes on both
+// sides of radixCutoff, reusing one scratch across inputs.
+func TestSortByStartMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gens := map[string]func(i int) int64{
+		"random":     func(int) int64 { return rng.Int63n(1 << 40) },
+		"duplicates": func(int) int64 { return int64(rng.Intn(4)) * 4096 },
+		"all-equal":  func(int) int64 { return 12345 },
+		"negative":   func(int) int64 { return rng.Int63n(1<<20) - 1<<19 },
+		"extremes": func(int) int64 {
+			return []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1}[rng.Intn(7)]
+		},
+		"full-range": func(int) int64 { return int64(rng.Uint64()) },
+	}
+	sizes := []int{1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 3 * radixCutoff, 5000}
+	var sc sortScratch
+	for name, gen := range gens {
+		for _, n := range sizes {
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i].Start = gen(i)
+			}
+			w := make([]int32, n)
+			for i := range w {
+				w[i] = int32(i)
+			}
+			want := slices.Clone(w)
+			slices.SortFunc(want, startOrder(ops))
+			for _, sorter := range []func([]Op, []int32, *sortScratch){sortByStart, radixSortByStart} {
+				got := slices.Clone(w)
+				sorter(ops, got, &sc)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d: sort differs from (Start, index) order", name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSortScratchGauge pins conflict.sort_scratch_bytes to the radix
+// scratch of the largest file sorted by radix.
+func TestSortScratchGauge(t *testing.T) {
+	tr := trace.New(2)
+	for rank := 0; rank < 2; rank++ {
+		tr.Append(trace.Record{Rank: rank, Func: "open", Layer: trace.LayerPOSIX,
+			Args: []string{"/shared", "rw", "3"}, Tick: 1, Ret: 2})
+		for i := 0; i < radixCutoff; i++ {
+			tr.Append(trace.Record{Rank: rank, Func: "pwrite", Layer: trace.LayerPOSIX,
+				Args: []string{"3", "8", fmt.Sprint(8 * i)}, Tick: int64(3 + 2*i), Ret: int64(4 + 2*i)})
+		}
+	}
+	reg := obs.NewRegistry()
+	res, err := DetectOpts(tr, Options{Workers: 2, Obs: obs.Ctx{R: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Ops) < radixCutoff {
+		t.Fatalf("%d ops: trace too small to reach the radix sort", len(res.Ops))
+	}
+	got := reg.Snapshot().Stable.Gauges["conflict.sort_scratch_bytes"]
+	if want := sortScratchBytes(len(res.Ops)); got != want {
+		t.Fatalf("conflict.sort_scratch_bytes = %d, want %d", got, want)
 	}
 }

@@ -103,9 +103,9 @@ type edgeAcc struct {
 // left-to-right, so it accepts any batch partitioning of the rank's stream.
 type rankBuilder struct {
 	rank    int
-	fids    map[localKey]int        // {path, unlink-gen} -> rank-local file id
-	unlinks map[string]int          // path -> unlinks seen so far
-	handles map[string]int          // live handle arg -> file id
+	fids    map[localKey]int // {path, unlink-gen} -> rank-local file id
+	unlinks map[string]int   // path -> unlinks seen so far
+	handles map[string]int   // live handle arg -> file id
 	nfids   int
 	nodes   map[string]*nodeAcc
 	edges   map[edgeKey]*edgeAcc

@@ -227,11 +227,16 @@ func (m *matcher) sortOutputs() {
 		}
 		return refCompare(a.To, b.To)
 	})
+	// A total order: the problems arrive in an order that depends on map
+	// iteration, so ties must not be left to the sort.
 	slices.SortFunc(m.res.Problems, func(a, b Problem) int {
 		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Detail, b.Detail)
+		if c := cmp.Compare(a.Detail, b.Detail); c != 0 {
+			return c
+		}
+		return slices.CompareFunc(a.Refs, b.Refs, refCompare)
 	})
 }
 

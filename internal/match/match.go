@@ -41,10 +41,7 @@
 package match
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -192,80 +189,79 @@ func Match(tr *trace.Trace) (*Result, error) {
 	return MatchOpts(tr, Options{})
 }
 
-// MatchOpts replays the MPI records of tr in three phases. Phase 0 replays
-// only the communicator-creation records, serially in rank order, giving
-// each rank the membership view a serial rank-major scan would have had on
-// reaching it (all lower ranks' registrations; its own arrive in phase 1).
-// Phase 1 scans the ranks in parallel — each scan touches only its own view
-// and output buckets. Phase 2 merges the per-rank outputs in rank order and
-// runs the (cheap, cross-rank) collective and point-to-point matching. The
-// phases reproduce the serial scan's behavior exactly, including on
-// malformed traces, at every worker count.
+// MatchOpts replays the MPI records of tr in two phases. Phase 1 feeds the
+// ranks to a StreamMatcher in parallel, one whole rank per Feed: each scan
+// runs against comm-world plus its own communicator registrations and
+// touches only its own state and output buckets. Phase 2 is the matcher's
+// finish: it merges the per-rank outputs in rank order, resolving the few
+// steps whose outcome depends on another rank's registrations (see
+// viewSend), and runs the (cheap, cross-rank) collective and point-to-point
+// matching. The result equals a serial rank-major scan with one shared
+// membership table — first registration of a gid wins — exactly, including
+// on malformed traces, at every worker count.
 func MatchOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(tr.Ranks)))
 	span.SetCat("match")
 	defer span.End()
-	m := newMatcher(tr.NumRanks())
 
-	// Phase 0: membership views. Registration errors are discarded here —
-	// phase 1 re-runs each rank's registrations against its own view and
-	// reports them in record order, like the serial scan did.
-	_, regSpan := oc.Start("register")
-	views := make([]map[string][]int, len(tr.Ranks))
-	for rank := range tr.Ranks {
-		views[rank] = maps.Clone(m.members)
-		for i := range tr.Ranks[rank] {
-			rec := &tr.Ranks[rank][i]
-			switch rec.Func {
-			case "MPI_Comm_dup":
-				_ = registerComm(m.members, rec.Arg(1), rec.Arg(2))
-			case "MPI_Comm_split":
-				_ = registerComm(m.members, rec.Arg(3), rec.Arg(4))
-			}
-		}
-	}
-
-	regSpan.End()
-
-	// Phase 1: independent per-rank scans.
-	outs := make([]*rankOut, len(tr.Ranks))
+	sm := NewStreamMatcher(tr.NumRanks())
 	par.DoObs(oc, "match-scan", workers, len(tr.Ranks), func(rank int) {
 		_, sp := oc.StartLane("match/rank-"+strconv.Itoa(rank), "scan", obs.Int("rank", rank))
-		outs[rank] = scanRank(tr.Ranks[rank], rank, views[rank])
+		sm.Feed(rank, tr.Ranks[rank])
 		sp.End()
 	})
-	return m.mergeAndMatch(outs, oc), nil
+	return sm.finish(oc), nil
 }
 
-func newMatcher(nranks int) *matcher {
-	m := &matcher{
-		res:     &Result{},
-		members: map[string][]int{},
-		colls:   map[string]map[int][]collEntry{},
-		sends:   map[p2pKey][]sendEntry{},
-		recvs:   map[p2pKey][]recvEntry{},
-	}
-	// MPI_COMM_WORLD always exists.
+// worldMembers is MPI_COMM_WORLD's member list: world rank i is comm rank i.
+func worldMembers(nranks int) []int {
 	world := make([]int, nranks)
 	for i := range world {
 		world[i] = i
 	}
-	m.members["comm-world"] = world
-	return m
+	return world
 }
 
-// mergeAndMatch is the serial tail shared by the materialized and streaming
-// front-ends. Phase 2: merge the per-rank scan outputs in rank order — the
-// append order of a serial rank-major scan (per-key send/recv buckets and
-// per-rank collective entry lists all grow rank by rank there too) — then
-// run the cross-rank collective and point-to-point matching.
-func (m *matcher) mergeAndMatch(outs []*rankOut, oc obs.Ctx) *Result {
+// finish is phase 2, shared by both front-ends: replay every rank's
+// registrations in rank order into the global membership table (first
+// registration wins, errors discarded), settle each rank's view-dependent
+// steps against it, merge the per-rank outputs in rank order — the append
+// order of a serial rank-major scan — then run the cross-rank collective and
+// point-to-point matching.
+func (sm *StreamMatcher) finish(oc obs.Ctx) *Result {
+	m := &matcher{
+		res:     &Result{},
+		members: map[string][]int{"comm-world": sm.world},
+		colls:   map[string]map[int][]collEntry{},
+		sends:   map[p2pKey][]sendEntry{},
+		recvs:   map[p2pKey][]recvEntry{},
+	}
 	_, mergeSpan := oc.Start("merge")
-	for rank, out := range outs {
-		if out == nil {
+	firstRank := map[string]int{}
+	for rank, sc := range sm.scanners {
+		if sc == nil {
 			continue
 		}
+		for _, reg := range sc.out.regs {
+			if _, ok := m.members[reg[0]]; ok {
+				continue
+			}
+			if registerComm(m.members, reg[0], reg[1]) == nil {
+				firstRank[reg[0]] = rank
+			}
+		}
+	}
+	for rank, sc := range sm.scanners {
+		if sc == nil {
+			continue
+		}
+		out := sc.out
+		lower := func(gid string) bool {
+			r, ok := firstRank[gid]
+			return ok && r < rank
+		}
+		out.settle(rank, m.members, lower)
 		m.res.Problems = append(m.res.Problems, out.problems...)
 		for gid, entries := range out.colls {
 			byRank, ok := m.colls[gid]
@@ -282,7 +278,6 @@ func (m *matcher) mergeAndMatch(outs []*rankOut, oc obs.Ctx) *Result {
 			m.recvs[key] = append(m.recvs[key], entries...)
 		}
 	}
-
 	mergeSpan.End()
 
 	_, collSpan := oc.Start("collectives")
@@ -301,72 +296,40 @@ func (m *matcher) mergeAndMatch(outs []*rankOut, oc obs.Ctx) *Result {
 	return m.res
 }
 
-// StreamMatcher runs matching over records as they decode. Ranks must
-// arrive in nondecreasing rank order (the order trace.Stream yields), each
-// rank's records in program order in any batch partitioning; this is
-// exactly the rank-major serial scan MatchOpts reproduces, so the Result is
-// identical to the materialized path's.
-//
-// The phase structure maps onto the stream: each rank scans against a
-// membership view captured when its first batch arrives (all lower ranks'
-// registrations — what phase 0 would have given it), and its own
-// registrations are replayed into the global table when the next rank
-// starts, errors discarded exactly as phase 0 discards them.
+// StreamMatcher runs matching over records as they decode. Each rank's
+// records must arrive in program order, in any batch partitioning; the
+// ranks may arrive in any order, interleaved however the caller likes, and
+// Feed calls for distinct ranks may run concurrently. The Result is
+// identical to MatchOpts' on the same trace.
 type StreamMatcher struct {
-	global  map[string][]int
-	outs    []*rankOut
-	cur     *rankScanner
-	curRank int
+	world    []int
+	scanners []*rankScanner
 }
 
 // NewStreamMatcher prepares matching state for nranks ranks.
 func NewStreamMatcher(nranks int) *StreamMatcher {
-	world := make([]int, nranks)
-	for i := range world {
-		world[i] = i
-	}
-	return &StreamMatcher{
-		global:  map[string][]int{"comm-world": world},
-		outs:    make([]*rankOut, nranks),
-		curRank: -1,
-	}
+	return &StreamMatcher{world: worldMembers(nranks), scanners: make([]*rankScanner, nranks)}
 }
 
 // Feed scans the next records of one rank. The batch buffer is not
 // retained.
 func (sm *StreamMatcher) Feed(rank int, recs []trace.Record) {
-	if rank != sm.curRank {
-		sm.flush()
-		sm.curRank = rank
-		sm.cur = newRankScanner(rank, maps.Clone(sm.global))
+	sc := sm.scanners[rank]
+	if sc == nil {
+		sc = newRankScanner(rank, sm.world)
+		sm.scanners[rank] = sc
 	}
 	for i := range recs {
-		sm.cur.step(&recs[i])
+		sc.step(&recs[i])
 	}
-}
-
-// flush finalizes the in-progress rank: emit its dangling-request problems
-// and replay its communicator registrations into the global table.
-func (sm *StreamMatcher) flush() {
-	if sm.cur == nil {
-		return
-	}
-	sm.outs[sm.curRank] = sm.cur.finish()
-	for _, reg := range sm.cur.regs {
-		_ = registerComm(sm.global, reg[0], reg[1])
-	}
-	sm.cur = nil
 }
 
 // Finish completes matching over everything fed so far.
 func (sm *StreamMatcher) Finish(opts Options) (*Result, error) {
-	sm.flush()
-	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(sm.outs)))
+	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(sm.scanners)))
 	span.SetCat("match")
 	defer span.End()
-	m := newMatcher(len(sm.outs))
-	m.members = sm.global
-	return m.mergeAndMatch(sm.outs, oc), nil
+	return sm.finish(oc), nil
 }
 
 type p2pKey struct {
@@ -404,6 +367,55 @@ type pendingReq struct {
 	// per-rank entry slice may be reallocated by later appends).
 	collGID string
 	collIdx int
+	// send is set for an MPI_Isend on a non-world communicator: the
+	// request exists only if the send resolves (see viewSend), otherwise
+	// the request id still names shadow, the entry this one replaced.
+	send   *viewSend
+	shadow *pendingReq
+}
+
+// live resolves a pending entry to the request its id actually names once
+// every view-dependent send is settled, or nil.
+func (p *pendingReq) live() *pendingReq {
+	for p != nil && p.send != nil && !p.send.ok {
+		p = p.shadow
+	}
+	return p
+}
+
+// viewSend is a send on a non-world communicator. Its destination and
+// source resolve through the communicator's member list as a rank-major
+// scan would see it: the lowest rank's registration of the gid, or this
+// rank's own earlier one when no lower rank registered it. The scan
+// resolves it against its own registrations; the merge re-resolves it when
+// a lower rank registered the gid first. These are the only steps of the
+// scan that depend on another rank's records.
+type viewSend struct {
+	fn       string
+	ref      trace.Ref
+	comm     string
+	dst, tag int
+	// recv is MPI_Sendrecv's receive half, nil for plain sends.
+	recv *recvEntry
+	// key and ok are the resolution: ok is false when the destination is
+	// not a member, which settle reports as an unknown communicator.
+	key p2pKey
+	ok  bool
+}
+
+func (vs *viewSend) resolve(members map[string][]int, rank int) {
+	dstWorld, ok := worldRank(members, vs.comm, vs.dst)
+	srcComm, _ := commRank(members, vs.comm, rank)
+	vs.key = p2pKey{comm: vs.comm, src: srcComm, dst: dstWorld, tag: vs.tag}
+	vs.ok = ok
+}
+
+// lateCompletion is a completion whose request resolved to a view-dependent
+// MPI_Isend entry: what it retires is known only after the merge.
+type lateCompletion struct {
+	p        *pendingReq
+	at       trace.Ref
+	src, tag int
 }
 
 // rankOut is one rank's scan output, merged rank-major in phase 2.
@@ -411,39 +423,100 @@ type rankOut struct {
 	// colls: gid -> this rank's ordered collective entries.
 	colls map[string][]collEntry
 	// sends/recvs: this rank's contributions to the matching buckets.
+	// Sends on other communicators than comm-world wait in views until
+	// settle.
 	sends    map[p2pKey][]sendEntry
 	recvs    map[p2pKey][]recvEntry
 	problems []Problem
+	// regs: communicator registrations in record order, replayed into the
+	// global membership table by the merge.
+	regs [][2]string
+	// badRegs: malformed registrations of a gid, reported by settle only if
+	// no lower rank registered the gid first.
+	badRegs []badReg
+	views   []*viewSend
+	late    []lateCompletion
+	// pending: requests never completed, reported as dangling once the
+	// merge knows which of them exist.
+	pending map[string]*pendingReq
+}
+
+// badReg is a malformed registration of gid and the problem reporting it.
+type badReg struct {
+	gid string
+	p   Problem
 }
 
 func (o *rankOut) problem(kind ProblemKind, detail string, refs ...trace.Ref) {
 	o.problems = append(o.problems, Problem{Kind: kind, Detail: detail, Refs: refs})
 }
 
-// scanRank scans one rank's records against its membership view. It mutates
-// only the view and its own output, which is what makes the scan phase
-// embarrassingly parallel.
-func scanRank(recs []trace.Record, rank int, members map[string][]int) *rankOut {
-	sc := newRankScanner(rank, members)
-	for i := range recs {
-		sc.step(&recs[i])
+// retire applies a completed request to the rank's output.
+func (o *rankOut) retire(rank int, p *pendingReq, at trace.Ref, src, tag int) {
+	switch {
+	case p.collGID != "":
+		o.colls[p.collGID][p.collIdx].completion = at
+	case p.fn == "MPI_Irecv":
+		key := p2pKey{comm: p.comm, src: src, dst: rank, tag: tag}
+		o.recvs[key] = append(o.recvs[key], recvEntry{
+			init: p.init, completion: at, src: src, tag: tag, resolved: true,
+		})
 	}
-	return sc.finish()
+	// An MPI_Isend's edge uses its initiation record; nothing to do at
+	// completion.
 }
 
-// rankScanner is scanRank unrolled into explicit state so records can be fed
-// one batch at a time: everything the serial scan kept in loop-local closures
-// lives here, plus the forward-tracked open-file table that replaces the
-// materialized path's backward scan for MPI-IO communicator recovery.
+// settle finishes the rank's output once the global membership table is
+// known: lower reports whether a lower rank registered a gid first (so its
+// member list, not this rank's, is the one the rank-major scan used).
+// Settled view sends join the buckets or are reported as sends on an
+// unknown communicator, malformed registrations are reported unless a lower
+// rank's registration made them moot, late completions retire what their
+// request ids name, and the surviving pending requests are reported as
+// dangling. The problems' order is sortOutputs' business.
+func (o *rankOut) settle(rank int, members map[string][]int, lower func(gid string) bool) {
+	for _, vs := range o.views {
+		if lower(vs.comm) {
+			vs.resolve(members, rank)
+		}
+		if !vs.ok {
+			o.problem(MalformedRecord, vs.fn+": unknown communicator "+vs.comm, vs.ref)
+			continue
+		}
+		o.sends[vs.key] = append(o.sends[vs.key], sendEntry{init: vs.ref, tag: vs.tag})
+		if vs.recv != nil {
+			key := p2pKey{comm: vs.comm, src: vs.recv.src, dst: rank, tag: vs.recv.tag}
+			o.recvs[key] = append(o.recvs[key], *vs.recv)
+		}
+	}
+	for _, b := range o.badRegs {
+		if !lower(b.gid) {
+			o.problems = append(o.problems, b.p)
+		}
+	}
+	for _, lc := range o.late {
+		if p := lc.p.live(); p != nil {
+			o.retire(rank, p, lc.at, lc.src, lc.tag)
+		}
+	}
+	for req, p := range o.pending {
+		if p = p.live(); p != nil {
+			o.problem(DanglingRequest,
+				fmt.Sprintf("%s request %s never completed by MPI_Wait*/MPI_Test*", p.fn, req), p.init)
+		}
+	}
+}
+
+// rankScanner scans one rank's records, one batch at a time, against
+// comm-world plus the rank's own communicator registrations. It mutates
+// only its own state and output, which is what makes the scan phase
+// embarrassingly parallel: everything the serial scan kept in loop-local
+// closures lives here, plus the forward-tracked open-file table that
+// replaces a backward scan for MPI-IO communicator recovery.
 type rankScanner struct {
 	rank    int
 	members map[string][]int
 	out     *rankOut
-	pending map[string]*pendingReq // request id -> op
-	// regs: communicator registrations in record order, kept so a streaming
-	// caller can replay them into a shared global table (MatchOpts' phase 0
-	// does this ahead of time from the materialized trace).
-	regs [][2]string
 	// openByFd: fh -> comm of the most recent MPI_File_open that produced
 	// it; lastOpen is the comm of the most recent open of any fh. Together
 	// they answer "nearest preceding open" queries without looking back.
@@ -452,16 +525,16 @@ type rankScanner struct {
 	anyOpen  bool
 }
 
-func newRankScanner(rank int, members map[string][]int) *rankScanner {
+func newRankScanner(rank int, world []int) *rankScanner {
 	return &rankScanner{
 		rank:    rank,
-		members: members,
+		members: map[string][]int{"comm-world": world},
 		out: &rankOut{
-			colls: map[string][]collEntry{},
-			sends: map[p2pKey][]sendEntry{},
-			recvs: map[p2pKey][]recvEntry{},
+			colls:   map[string][]collEntry{},
+			sends:   map[p2pKey][]sendEntry{},
+			recvs:   map[p2pKey][]recvEntry{},
+			pending: map[string]*pendingReq{},
 		},
-		pending:  map[string]*pendingReq{},
 		openByFd: map[string]string{},
 	}
 }
@@ -474,30 +547,64 @@ func (sc *rankScanner) addColl(gid string, e collEntry) int {
 // complete retires a request id at the given completion record with the
 // given actual (src, tag) status.
 func (sc *rankScanner) complete(req string, at trace.Ref, src, tag int) {
-	p, ok := sc.pending[req]
+	p, ok := sc.out.pending[req]
 	if !ok {
 		// Completing an unknown/already-done request: tolerated
 		// (MPI_Test on an inactive request is legal).
 		return
 	}
-	delete(sc.pending, req)
-	switch {
-	case p.collGID != "":
-		sc.out.colls[p.collGID][p.collIdx].completion = at
-	case p.fn == "MPI_Isend":
-		// The send edge uses the initiation record; nothing to do
-		// at completion.
-	case p.fn == "MPI_Irecv":
-		key := p2pKey{comm: p.comm, src: src, dst: sc.rank, tag: tag}
-		sc.out.recvs[key] = append(sc.out.recvs[key], recvEntry{
-			init: p.init, completion: at, src: src, tag: tag, resolved: true,
-		})
+	delete(sc.out.pending, req)
+	if p.send != nil {
+		sc.out.late = append(sc.out.late, lateCompletion{p: p, at: at, src: src, tag: tag})
+		return
 	}
+	sc.out.retire(sc.rank, p, at, src, tag)
+}
+
+// send records a send from rec (initiated at ref) to comm rank dst. Sends
+// on comm-world resolve now; others become view sends, settled by the
+// merge. It reports false when the send is known here to have an unknown
+// communicator (the caller stops).
+func (sc *rankScanner) send(rec *trace.Record, ref trace.Ref, comm string, dst, tag int, recv *recvEntry) (*viewSend, bool) {
+	vs := &viewSend{fn: rec.Func, ref: ref, comm: comm, dst: dst, tag: tag, recv: recv}
+	vs.resolve(sc.members, sc.rank)
+	if comm == "comm-world" {
+		if !vs.ok {
+			sc.out.problem(MalformedRecord, rec.Func+": unknown communicator "+comm, ref)
+			return nil, false
+		}
+		sc.out.sends[vs.key] = append(sc.out.sends[vs.key], sendEntry{init: ref, tag: tag})
+		if recv != nil {
+			key := p2pKey{comm: comm, src: recv.src, dst: sc.rank, tag: recv.tag}
+			sc.out.recvs[key] = append(sc.out.recvs[key], *recv)
+		}
+		return nil, true
+	}
+	sc.out.views = append(sc.out.views, vs)
+	return vs, true
+}
+
+// register records a communicator creation. A malformed member list is
+// reported only if no lower rank registered the gid first (registration is
+// first-wins, so the damaged list would never have been read): the merge
+// decides. A missing gid or list is malformed whoever registered first.
+func (sc *rankScanner) register(rec *trace.Record, ref trace.Ref, gid, list string) {
+	sc.out.regs = append(sc.out.regs, [2]string{gid, list})
+	err := registerComm(sc.members, gid, list)
+	if err == nil {
+		return
+	}
+	p := Problem{Kind: MalformedRecord, Detail: fmt.Sprintf("%s: %s", rec.Func, err), Refs: []trace.Ref{ref}}
+	if gid == "" || list == "" {
+		sc.out.problems = append(sc.out.problems, p)
+		return
+	}
+	sc.out.badRegs = append(sc.out.badRegs, badReg{gid: gid, p: p})
 }
 
 // step scans one record.
 func (sc *rankScanner) step(rec *trace.Record) {
-	rank, out, members, pending := sc.rank, sc.out, sc.members, sc.pending
+	rank, out, pending := sc.rank, sc.out, sc.out.pending
 	if rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
 		return
 	}
@@ -513,14 +620,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			malformed("bad arguments")
 			return
 		}
-		dstWorld, ok := worldRank(members, comm, dst)
-		if !ok {
-			malformed("unknown communicator " + comm)
-			return
-		}
-		srcComm, _ := commRank(members, comm, rank)
-		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
-		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
+		sc.send(rec, ref, comm, dst, tag, nil)
 
 	case "MPI_Sendrecv":
 		// [comm, dst, stag, scount, src, rtag, nrecv, aSrc, aTag]
@@ -532,16 +632,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			malformed("bad arguments")
 			return
 		}
-		dstWorld, okD := worldRank(members, comm, dst)
-		if !okD {
-			malformed("unknown communicator " + comm)
-			return
-		}
-		srcComm, _ := commRank(members, comm, rank)
-		sKey := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: stag}
-		out.sends[sKey] = append(out.sends[sKey], sendEntry{init: ref, tag: stag})
-		rKey := p2pKey{comm: comm, src: int(aSrc), dst: rank, tag: int(aTag)}
-		out.recvs[rKey] = append(out.recvs[rKey], recvEntry{
+		sc.send(rec, ref, comm, dst, stag, &recvEntry{
 			init: ref, completion: ref, src: int(aSrc), tag: int(aTag), resolved: true,
 		})
 
@@ -552,15 +643,15 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			malformed("bad arguments")
 			return
 		}
-		dstWorld, ok := worldRank(members, comm, dst)
+		vs, ok := sc.send(rec, ref, comm, dst, tag, nil)
 		if !ok {
-			malformed("unknown communicator " + comm)
 			return
 		}
-		srcComm, _ := commRank(members, comm, rank)
-		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
-		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
-		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, peer: dst, tag: tag}
+		p := &pendingReq{fn: rec.Func, init: ref, comm: comm, peer: dst, tag: tag}
+		if vs != nil {
+			p.send, p.shadow = vs, pending[req]
+		}
+		pending[req] = p
 
 	case "MPI_Recv":
 		// [comm, src, tag, n, actualSrc, actualTag]
@@ -661,18 +752,12 @@ func (sc *rankScanner) step(rec *trace.Record) {
 
 	case "MPI_Comm_dup":
 		// [parent, new, members]
-		sc.regs = append(sc.regs, [2]string{rec.Arg(1), rec.Arg(2)})
-		if err := registerComm(members, rec.Arg(1), rec.Arg(2)); err != nil {
-			malformed(err.Error())
-		}
+		sc.register(rec, ref, rec.Arg(1), rec.Arg(2))
 		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1})
 
 	case "MPI_Comm_split":
 		// [parent, color, key, new, members]
-		sc.regs = append(sc.regs, [2]string{rec.Arg(3), rec.Arg(4)})
-		if err := registerComm(members, rec.Arg(3), rec.Arg(4)); err != nil {
-			malformed(err.Error())
-		}
+		sc.register(rec, ref, rec.Arg(3), rec.Arg(4))
 		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1})
 
 	case "MPI_Ibarrier", "MPI_Iallreduce":
@@ -716,29 +801,6 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		}
 		sc.addColl(sc.fileComm(rec, comm), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: root})
 	}
-}
-
-// finish reports dangling requests and returns the rank's scan output.
-func (sc *rankScanner) finish() *rankOut {
-	// Dangling requests are reported in initiation order: map iteration
-	// order must not leak into the problem list.
-	pending := sc.pending
-	dangling := make([]string, 0, len(pending))
-	for req := range pending {
-		dangling = append(dangling, req)
-	}
-	slices.SortFunc(dangling, func(a, b string) int {
-		if c := cmp.Compare(pending[a].init.Seq, pending[b].init.Seq); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, req := range dangling {
-		p := pending[req]
-		sc.out.problem(DanglingRequest,
-			fmt.Sprintf("%s request %s never completed by MPI_Wait*/MPI_Test*", p.fn, req), p.init)
-	}
-	return sc.out
 }
 
 // fileComm resolves the communicator for MPI-IO collective records: the comm

@@ -6,7 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"sync"
 
 	"verifyio/internal/obs"
 )
@@ -20,7 +23,10 @@ import (
 // explicit Release that returns the batch buffer to the stream's pool. A
 // consumer that releases each batch after processing it keeps peak decoded
 // memory bounded by the window (plus the current file's string table), not by
-// the trace.
+// the trace. A directory stream is a set of per-rank sources (RankSource)
+// over one prescan, sharing the pool and the resident accounting; Next walks
+// them in rank order, or a consumer drains them concurrently, each rank
+// holding its share of the window.
 //
 // Both decoders share one record-decoding core (payloadStream), so streaming
 // and materializing ingestion are behaviorally identical: the same Limits
@@ -49,6 +55,12 @@ type StreamOptions struct {
 	// per-entity bookkeeping overhead. Zero selects DefaultWindowBytes;
 	// WindowUnbounded (or any negative value) disables windowing.
 	WindowBytes int64
+	// Concurrency is how many rank files the consumer decodes at once
+	// through Sources; 0 means 1, and more than the directory's rank files
+	// means one per file. Each rank's batches are bounded by WindowBytes
+	// divided by that effective concurrency, so the batches of the ranks in
+	// flight fit the window together.
+	Concurrency int
 }
 
 // Batch is one contiguous run of a single rank's records, in program order.
@@ -62,6 +74,7 @@ type Batch struct {
 
 	cost int64
 	s    *Stream
+	src  *RankSource // directory mode: the rank's source
 }
 
 // Release returns the batch buffer to the stream's pool and credits its cost
@@ -79,33 +92,37 @@ func (b *Batch) Release() {
 		return
 	}
 	s := b.s
+	s.mu.Lock()
 	s.resident -= b.cost
+	if b.src != nil {
+		b.src.resident -= b.cost
+	}
 	if cap(b.Recs) > 0 {
 		s.pool = append(s.pool, b.Recs[:0])
 	}
+	s.mu.Unlock()
 	b.s = nil
+	b.src = nil
 	b.Recs = nil
 }
 
 // Stream decodes a trace incrementally, yielding per-rank record batches in
-// rank-major order (all of rank 0's batches, then rank 1's, ...). It is not
-// safe for concurrent use.
+// rank-major order (all of rank 0's batches, then rank 1's, ...). Next is
+// not safe for concurrent use; a directory stream can instead be consumed
+// rank-parallel through Sources.
 type Stream struct {
-	opts   StreamOptions
-	window int64
+	opts       StreamOptions
+	rankWindow int64 // per-batch bound: window / concurrency(), 0 = unbounded
 
 	// Single-reader mode (NewStream): one payload carrying every rank.
 	single *streamSource
 
 	// Directory mode (OpenStream): one single-rank file per world rank.
-	dir      string
-	names    map[int]string // world rank -> file name (parseable names only)
-	order    []int          // ranks with readable files, ascending
-	idx      int            // next index into order
-	failed   map[int]error  // tolerate: files that salvaged nothing
-	cur      *streamSource
-	curRank  int
-	rankSpan *obs.Span
+	dir    string
+	names  map[int]string // world rank -> file name (parseable names only)
+	srcs   []*RankSource  // ranks with readable files, ascending
+	idx    int            // Next's cursor into srcs
+	failed map[int]error  // tolerate: files whose prescan failed
 
 	nranks int
 	meta   map[string]string // trace-level meta (verifyio.* keys stripped)
@@ -116,12 +133,33 @@ type Stream struct {
 	oc   obs.Ctx
 	span *obs.Span // directory mode: the "read-trace" span
 
+	// mu guards the buffer pool and the resident accounting, which the
+	// rank sources share.
+	mu       sync.Mutex
 	resident int64
 	peak     int64
 	pool     [][]Record
 
 	err    error // sticky failure
 	closed bool
+}
+
+// RankSource decodes one rank file of a trace directory, in program order,
+// one window-bounded batch at a time. The sources of a Stream share its
+// buffer pool and resident accounting; distinct sources may be drained on
+// distinct goroutines. Stream.Next is the rank-ordered walk over them.
+type RankSource struct {
+	s    *Stream
+	rank int
+	src  *streamSource
+	span *obs.Span
+	done bool
+	err  error // sticky failure (strict mode)
+
+	failed  error          // tolerate: the file salvaged nothing
+	entries []RankRecovery // tolerate: the file's salvage entries
+
+	resident, peak int64 // this rank's unreleased batch cost (under s.mu)
 }
 
 // streamSource is one open payload being decoded.
@@ -154,14 +192,13 @@ func NewStream(r io.Reader, opts StreamOptions) (*Stream, error) {
 	}
 	s := &Stream{
 		opts:   opts,
-		window: resolveWindow(opts.WindowBytes),
 		single: src,
 		nranks: src.ps.nranks,
 		meta:   src.ps.meta,
 		counts: make([]int, src.ps.nranks),
 		oc:     opts.Obs,
 	}
-	s.setWindowGauge()
+	s.setWindow()
 	return s, nil
 }
 
@@ -175,59 +212,47 @@ func OpenStream(dir string, opts StreamOptions) (*Stream, error) {
 	oc, span := opts.Obs.Start("read-trace", obs.String("dir", dir))
 	span.SetCat("decode")
 	s := &Stream{
-		opts:    opts,
-		window:  resolveWindow(opts.WindowBytes),
-		dir:     dir,
-		names:   make(map[int]string),
-		failed:  make(map[int]error),
-		curRank: -1,
-		meta:    make(map[string]string),
-		oc:      oc,
-		span:    span,
+		opts:   opts,
+		dir:    dir,
+		names:  make(map[int]string),
+		failed: make(map[int]error),
+		meta:   make(map[string]string),
+		oc:     oc,
+		span:   span,
 	}
 	if err := s.scanDir(); err != nil {
 		span.End()
 		return nil, err
 	}
-	s.setWindowGauge()
+	s.setWindow()
 	return s, nil
 }
 
-func resolveWindow(w int64) int64 {
-	switch {
-	case w == 0:
-		return DefaultWindowBytes
-	case w < 0:
-		return 0 // unbounded
-	default:
-		return w
+// setWindow resolves the window options into the per-rank batch bound and
+// publishes the window gauge.
+func (s *Stream) setWindow() {
+	window := s.opts.WindowBytes
+	if window == 0 {
+		window = DefaultWindowBytes
+	}
+	if window > 0 {
+		s.rankWindow = max(window/int64(s.concurrency()), 1)
+		s.oc.R.Gauge("decode.window_bytes").Set(window)
 	}
 }
 
-func (s *Stream) setWindowGauge() {
-	if s.window > 0 {
-		s.oc.R.Gauge("decode.window_bytes").Set(s.window)
-	}
-}
+// concurrency is how many ranks hold batches at once: Concurrency, but no
+// more than there are rank sources (a single-reader stream has none, and one
+// reader).
+func (s *Stream) concurrency() int { return max(min(s.opts.Concurrency, len(s.srcs)), 1) }
 
 // scanDir enumerates the rank files and decodes each one's metadata section
 // (a few bytes per file) to resolve the world rank count and run the strict
 // completeness checks before any records decode.
 func (s *Stream) scanDir() error {
-	entries, err := os.ReadDir(s.dir)
+	maxRank, err := s.listDir()
 	if err != nil {
 		return err
-	}
-	maxRank := -1
-	for _, e := range entries {
-		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil {
-			continue
-		}
-		s.names[rank] = e.Name()
-		if rank > maxRank {
-			maxRank = rank
-		}
 	}
 	nranks := -1
 	readable := 0
@@ -250,7 +275,7 @@ func (s *Stream) scanDir() error {
 		}
 		readable++
 		if rank >= 0 {
-			s.order = append(s.order, rank)
+			s.srcs = append(s.srcs, &RankSource{s: s, rank: rank})
 		}
 		if n := meta["verifyio.nranks"]; n != "" {
 			fmt.Sscanf(n, "%d", &nranks)
@@ -295,10 +320,51 @@ func (s *Stream) scanDir() error {
 	s.nranks = nranks
 	s.counts = make([]int, nranks)
 	// Drop files beyond the resolved rank count (a clamped tolerate run).
-	for len(s.order) > 0 && s.order[len(s.order)-1] >= nranks {
-		s.order = s.order[:len(s.order)-1]
+	for len(s.srcs) > 0 && s.srcs[len(s.srcs)-1].rank >= nranks {
+		s.srcs = s.srcs[:len(s.srcs)-1]
 	}
 	return nil
+}
+
+// listDir maps world ranks to rank file names (without opening any) and
+// returns the largest rank found.
+func (s *Stream) listDir() (int, error) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return 0, err
+	}
+	maxRank := -1
+	for _, e := range entries {
+		var rank int
+		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil {
+			continue
+		}
+		s.names[rank] = e.Name()
+		maxRank = max(maxRank, rank)
+	}
+	return maxRank, nil
+}
+
+// OpenRanks opens sources for just the given world ranks (ascending, no
+// duplicates) of a trace directory, skipping the directory prescan: no
+// other rank file is ever opened. It serves re-reads of a directory an
+// earlier OpenStream already validated, such as fetching raced records;
+// the Stream carries no metadata or salvage stats, only Sources.
+func OpenRanks(dir string, ranks []int, opts StreamOptions) (*Stream, error) {
+	s := &Stream{opts: opts, dir: dir, names: make(map[int]string), oc: opts.Obs}
+	if _, err := s.listDir(); err != nil {
+		return nil, err
+	}
+	for _, rank := range ranks {
+		if _, ok := s.names[rank]; !ok {
+			return nil, fmt.Errorf("trace: missing rank file for rank %d", rank)
+		}
+		s.srcs = append(s.srcs, &RankSource{s: s, rank: rank})
+		s.nranks = max(s.nranks, rank+1)
+	}
+	s.counts = make([]int, s.nranks)
+	s.setWindow()
+	return s, nil
 }
 
 // prescanFile decodes the header and metadata section of one rank file.
@@ -358,6 +424,15 @@ func (s *Stream) Stats() *DecodeStats {
 	return s.stats
 }
 
+// Sources returns the directory's per-rank sources, ascending by world
+// rank: one per rank file whose metadata prescan succeeded (in strict mode,
+// every rank). Drain them instead of calling Next to decode the ranks
+// concurrently, at most StreamOptions.Concurrency (capped at the number of
+// sources) at a time, then call Next once: it walks the drained sources in
+// rank order, returning the lowest failing rank's error or io.EOF with Stats
+// and Counts final. Nil in single-reader mode.
+func (s *Stream) Sources() []*RankSource { return s.srcs }
+
 // Next returns the next batch, or io.EOF when the trace is exhausted (after
 // which Stats and Counts are final). Errors are classified like the
 // materializing decoders'; after an error the stream is dead.
@@ -387,18 +462,13 @@ func (s *Stream) Next() (*Batch, error) {
 		}
 		return nil, err
 	}
-	s.counts[b.Rank] += len(b.Recs)
-	s.resident += b.cost
-	if s.resident > s.peak {
-		s.peak = s.resident
-	}
 	return b, nil
 }
 
 func (s *Stream) nextSingle() (*Batch, error) {
 	src := s.single
 	for {
-		b, err := src.ps.nextBatch(s.takeBuf(), s.window)
+		b, err := src.ps.nextBatch(s.takeBuf(), s.rankWindow)
 		if err == io.EOF {
 			stats, ferr := src.ps.finish()
 			if ferr == nil && !s.opts.Tolerate {
@@ -416,143 +486,188 @@ func (s *Stream) nextSingle() (*Batch, error) {
 		if len(b.recs) == 0 {
 			continue
 		}
-		return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
+		return s.emit(b, nil), nil
 	}
 }
 
+// nextDir is the rank-ordered walk over the rank sources.
 func (s *Stream) nextDir() (*Batch, error) {
-	for {
-		if s.cur == nil {
-			if s.idx >= len(s.order) {
-				s.finishDirStats()
+	for ; s.idx < len(s.srcs); s.idx++ {
+		b, err := s.srcs[s.idx].Next()
+		if err != io.EOF {
+			return b, err
+		}
+	}
+	s.finishDirStats()
+	return nil, io.EOF
+}
+
+// emit wraps a decoded batch and charges it to the resident accounting.
+func (s *Stream) emit(b rawBatch, src *RankSource) *Batch {
+	out := &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s, src: src}
+	s.mu.Lock()
+	s.counts[out.Rank] += len(out.Recs)
+	s.resident += b.cost
+	s.peak = max(s.peak, s.resident)
+	if src != nil {
+		src.resident += b.cost
+		src.peak = max(src.peak, src.resident)
+	}
+	s.mu.Unlock()
+	return out
+}
+
+// Rank returns the source's world rank.
+func (rs *RankSource) Rank() int { return rs.rank }
+
+// Next returns the rank's next batch, or io.EOF once the rank file is
+// exhausted (or, in tolerate mode, salvaged nothing). Errors are those
+// Stream.Next reports for the rank; after one the source is dead.
+func (rs *RankSource) Next() (*Batch, error) {
+	if rs.err != nil {
+		return nil, rs.err
+	}
+	if rs.done {
+		return nil, io.EOF
+	}
+	s := rs.s
+	if rs.src == nil {
+		if err := rs.open(); err != nil {
+			if s.opts.Tolerate {
+				rs.failed, rs.done = err, true
 				return nil, io.EOF
 			}
-			rank := s.order[s.idx]
-			s.idx++
-			if err := s.openRank(rank); err != nil {
-				if !s.opts.Tolerate {
-					return nil, err
-				}
-				continue // recorded in failed[rank]
-			}
+			rs.err = err
+			return nil, err
 		}
-		b, err := s.cur.ps.nextBatch(s.takeBuf(), s.window)
+	}
+	for {
+		b, err := rs.src.ps.nextBatch(s.takeBuf(), s.rankWindow)
 		if err == io.EOF {
-			if err := s.closeRank(); err != nil {
+			if err := rs.finish(); err != nil {
+				rs.err = err
 				return nil, err
 			}
-			continue
+			rs.done = true
+			return nil, io.EOF
 		}
 		if err != nil {
 			// Tolerate-mode record damage is salvaged inside nextBatch, so
 			// an error here is strict mode failing — name the file, remap
 			// the in-file rank to the world rank, and stop.
-			s.remapErr(err, s.curRank)
-			return nil, fmt.Errorf("trace: %s: %w", s.names[s.curRank], err)
+			remapErr(err, rs.rank)
+			rs.err = fmt.Errorf("trace: %s: %w", s.names[rs.rank], err)
+			rs.close()
+			return nil, rs.err
 		}
 		// Each file is a single-rank trace; batches for any other in-file
 		// rank are decoded (for error fidelity) but not part of the world
 		// trace.
 		if b.rank != 0 {
-			if cap(b.recs) > 0 {
-				s.pool = append(s.pool, b.recs[:0])
-			}
+			s.putBuf(b.recs)
 			continue
 		}
 		if len(b.recs) == 0 {
 			continue
 		}
+		b.rank = rs.rank
 		for i := range b.recs {
-			b.recs[i].Rank = s.curRank
+			b.recs[i].Rank = rs.rank
 		}
-		return &Batch{Rank: s.curRank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
+		return s.emit(b, rs), nil
 	}
 }
 
-// openRank opens the rank's file and decodes its eager sections. Failures in
-// tolerate mode are recorded (the rank salvages nothing) and reported as a
-// nil source.
-func (s *Stream) openRank(rank int) error {
+// open opens the rank's file and decodes its eager sections.
+func (rs *RankSource) open() error {
+	s, rank := rs.s, rs.rank
 	name := s.names[rank]
 	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
-		if s.opts.Tolerate {
-			s.failed[rank] = err
-			return err
-		}
 		return err
 	}
-	_, rankSpan := s.oc.Start("read-rank", obs.Int("rank", rank))
+	var span *obs.Span
+	if s.oc.T != nil {
+		_, span = s.oc.StartLane("decode/rank-"+strconv.Itoa(rank), "read-rank", obs.Int("rank", rank))
+	}
 	src, err := openSource(f, s.opts.DecodeOptions)
 	if err != nil {
-		rankSpan.End()
+		span.End()
 		f.Close()
-		s.remapErr(err, rank)
+		remapErr(err, rank)
 		if s.opts.Tolerate {
-			s.failed[rank] = err
 			return err
 		}
 		return fmt.Errorf("trace: %s: %w", name, err)
 	}
 	src.f = f
-	s.cur, s.curRank, s.rankSpan = src, rank, rankSpan
+	rs.src, rs.span = src, span
 	return nil
 }
 
-// closeRank finishes the current rank file: salvage stats, strict trailer
-// checks, span end.
-func (s *Stream) closeRank() error {
-	src, rank := s.cur, s.curRank
+// finish completes the rank file: salvage stats, strict trailer checks,
+// span end.
+func (rs *RankSource) finish() error {
+	src, rank := rs.src, rs.rank
 	stats, ferr := src.ps.finish()
-	if ferr == nil && !s.opts.Tolerate {
+	if ferr == nil && !rs.s.opts.Tolerate {
 		ferr = src.d.checkTrailer(src.fr)
 	}
-	src.close()
-	s.rankSpan.End()
-	s.cur, s.curRank, s.rankSpan = nil, -1, nil
+	rs.close()
 	if ferr != nil {
 		// finish only fails in strict mode (tolerate salvages).
-		s.remapErr(ferr, rank)
-		return fmt.Errorf("trace: %s: %w", s.names[rank], ferr)
+		remapErr(ferr, rank)
+		return fmt.Errorf("trace: %s: %w", rs.s.names[rank], ferr)
 	}
 	// The file's salvage stats are for its in-file ranks; report the world
 	// rank the file name declares.
-	if s.stats == nil {
-		s.stats = &DecodeStats{}
-	}
 	for _, rr := range stats.Ranks {
-		s.remapErr(rr.Err, rank)
+		remapErr(rr.Err, rank)
 		rr.Rank = rank
-		s.stats.Ranks = append(s.stats.Ranks, rr)
+		rs.entries = append(rs.entries, rr)
 	}
 	return nil
 }
 
+// close releases the rank file; idempotent.
+func (rs *RankSource) close() {
+	if rs.src != nil {
+		rs.src.close()
+		rs.span.End()
+	}
+}
+
 // remapErr rewrites a single-rank file's in-file rank 0 to the world rank.
-func (s *Stream) remapErr(err error, rank int) {
+func remapErr(err error, rank int) {
 	if de, ok := AsDecodeError(err); ok && de.Rank == 0 {
 		de.Rank = rank
 	}
 }
 
-// finishDirStats adds the entries for ranks that contributed nothing: files
+// finishDirStats assembles the salvage stats: the rank files' own entries
+// in rank order, then entries for ranks that contributed nothing — files
 // that failed to open or decode, and ranks with no file at all.
 func (s *Stream) finishDirStats() {
-	if s.stats == nil {
-		s.stats = &DecodeStats{}
+	s.stats = &DecodeStats{}
+	failed := s.failed
+	for _, src := range s.srcs {
+		s.stats.Ranks = append(s.stats.Ranks, src.entries...)
+		if src.failed != nil {
+			failed[src.rank] = src.failed
+		}
 	}
 	if s.opts.Tolerate {
-		present := make(map[int]bool, len(s.order))
-		for _, r := range s.order {
-			if s.failed[r] == nil {
-				present[r] = true
+		present := make(map[int]bool, len(s.srcs))
+		for _, src := range s.srcs {
+			if failed[src.rank] == nil {
+				present[src.rank] = true
 			}
 		}
 		for rank := 0; rank < s.nranks; rank++ {
 			if present[rank] {
 				continue
 			}
-			err := s.failed[rank]
+			err := failed[rank]
 			if err == nil {
 				err = &DecodeError{
 					Kind: Truncated, Section: "directory",
@@ -579,7 +694,7 @@ func (s *Stream) finalize() {
 		r.Counter("trace.records_salvaged").Add(int64(s.Stats().Salvaged()))
 		dropped, _ := s.Stats().Dropped()
 		r.Counter("trace.records_dropped").Add(int64(dropped))
-		r.Gauge("decode.peak_resident_bytes").SetMax(s.peak)
+		r.Gauge("decode.peak_resident_bytes").SetMax(s.PeakResidentBytes())
 	}
 	if s.span != nil {
 		s.span.End()
@@ -588,27 +703,48 @@ func (s *Stream) finalize() {
 }
 
 // PeakResidentBytes reports the high-water mark of unreleased batch cost —
-// the quantity the decode.peak_resident_bytes gauge exports.
-func (s *Stream) PeakResidentBytes() int64 { return s.peak }
+// the quantity the decode.peak_resident_bytes gauge exports. With
+// an effective concurrency above 1 the ranks decode on their own schedule,
+// so it reports the deterministic bound instead: the sum of that many
+// largest per-rank high-water marks (at most that many ranks hold batches at
+// once). A Concurrency at or above the rank count reports the same value as
+// one equal to it.
+func (s *Stream) PeakResidentBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.concurrency()
+	if c == 1 || s.single != nil {
+		return s.peak
+	}
+	peaks := make([]int64, len(s.srcs))
+	for i, src := range s.srcs {
+		peaks[i] = src.peak
+	}
+	slices.Sort(peaks)
+	var sum int64
+	for i := len(peaks) - 1; i >= 0 && i >= len(peaks)-c; i-- {
+		sum += peaks[i]
+	}
+	return sum
+}
 
 // Close releases the stream's resources. It is idempotent; a stream that
-// already returned io.EOF needs no Close but tolerates one.
+// already returned io.EOF needs no Close but tolerates one. Call it only
+// once no source is being drained.
 func (s *Stream) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.cur != nil {
-		s.cur.close()
-		s.rankSpan.End()
-		s.cur, s.rankSpan = nil, nil
+	for _, src := range s.srcs {
+		src.close()
 	}
 	if s.single != nil {
 		s.single.close()
 		s.single = nil
 	}
 	if r := s.oc.R; r != nil {
-		r.Gauge("decode.peak_resident_bytes").SetMax(s.peak)
+		r.Gauge("decode.peak_resident_bytes").SetMax(s.PeakResidentBytes())
 	}
 	if s.span != nil {
 		s.span.End()
@@ -618,12 +754,22 @@ func (s *Stream) Close() error {
 }
 
 func (s *Stream) takeBuf() []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if n := len(s.pool); n > 0 {
 		buf := s.pool[n-1]
 		s.pool = s.pool[:n-1]
 		return buf
 	}
 	return nil
+}
+
+func (s *Stream) putBuf(buf []Record) {
+	if cap(buf) > 0 {
+		s.mu.Lock()
+		s.pool = append(s.pool, buf[:0])
+		s.mu.Unlock()
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ package verify
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,10 +138,11 @@ type Analysis struct {
 	// options for re-fetching race-detail records, the per-rank block
 	// chains and unlink positions digested during the single pass (what
 	// cacheArtifacts reads instead of the records).
-	streamDir  string
-	streamOpts trace.DecodeOptions
-	chains     [][][32]byte
-	unlinkSeqs [][]int32
+	streamDir    string
+	streamOpts   trace.DecodeOptions
+	streamWindow int64
+	chains       [][][32]byte
+	unlinkSeqs   [][]int32
 
 	// raceRecs memoizes records re-decoded for race details on streaming
 	// analyses; model passes share it.
@@ -212,50 +214,90 @@ func (a *Analysis) record(ref trace.Ref) *trace.Record {
 }
 
 // prefetchRecords re-decodes the given records from the stream source into
-// the race-detail memo. No-op for materialized analyses. The set is bounded
-// by MaxRaceDetails, so the re-decode is a single cheap windowed pass.
-func (a *Analysis) prefetchRecords(refs []trace.Ref) error {
+// the race-detail memo. No-op for materialized analyses. Only rank files
+// holding a needed record are opened; they decode in parallel, each
+// stopping after its last needed record. The set is bounded by the models'
+// MaxRaceDetails, so this is a cheap windowed pass.
+func (a *Analysis) prefetchRecords(refs []trace.Ref, opts Options) error {
 	if a.Trace != nil || len(refs) == 0 {
 		return nil
 	}
 	a.raceMu.Lock()
 	defer a.raceMu.Unlock()
-	need := make(map[trace.Ref]bool)
+	need := make(map[int][]int) // rank -> needed seqs
 	for _, ref := range refs {
 		if _, ok := a.raceRecs[ref]; !ok {
-			need[ref] = true
+			need[ref.Rank] = append(need[ref.Rank], ref.Seq)
 		}
 	}
 	if len(need) == 0 {
 		return nil
 	}
-	s, err := trace.OpenStream(a.streamDir, trace.StreamOptions{DecodeOptions: a.streamOpts})
+	ranks := make([]int, 0, len(need))
+	for r := range need {
+		ranks = append(ranks, r)
+	}
+	slices.Sort(ranks)
+	for _, r := range ranks {
+		slices.Sort(need[r])
+		need[r] = slices.Compact(need[r])
+	}
+	oc, span := opts.Obs.Start("race-details", obs.Int("ranks", len(ranks)))
+	defer span.End()
+	workers := par.Resolve(opts.Workers)
+	s, err := trace.OpenRanks(a.streamDir, ranks, trace.StreamOptions{
+		DecodeOptions: trace.DecodeOptions{Limits: a.streamOpts.Limits, Tolerate: a.streamOpts.Tolerate,
+			Obs: obs.Ctx{T: oc.T, S: oc.S}},
+		WindowBytes: a.streamWindow,
+		Concurrency: workers,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("verify: race details: %w", err)
 	}
 	defer s.Close()
-	if a.raceRecs == nil {
-		a.raceRecs = make(map[trace.Ref]trace.Record, len(need))
-	}
-	for len(need) > 0 {
-		b, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for i := range b.Recs {
-			ref := trace.Ref{Rank: b.Rank, Seq: b.Start + i}
-			if need[ref] {
-				a.raceRecs[ref] = b.Recs[i]
-				delete(need, ref)
+	found := make([][]trace.Record, len(ranks))
+	errs := make([]error, len(ranks))
+	par.Do(workers, len(ranks), func(i int) {
+		src, seqs := s.Sources()[i], need[ranks[i]]
+		for len(seqs) > 0 {
+			b, err := src.Next()
+			if err == io.EOF {
+				return
 			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for len(seqs) > 0 && seqs[0] < b.Start+len(b.Recs) {
+				if seqs[0] >= b.Start {
+					found[i] = append(found[i], b.Recs[seqs[0]-b.Start])
+				}
+				seqs = seqs[1:]
+			}
+			b.Release()
 		}
-		b.Release()
+	})
+	// The counter is the records read through the last needed one on each
+	// opened rank: unlike the batches decoded, it does not depend on the
+	// per-rank window, and so not on the worker count.
+	total, missing := 0, 0
+	if a.raceRecs == nil {
+		a.raceRecs = make(map[trace.Ref]trace.Record)
 	}
-	if len(need) > 0 {
-		return fmt.Errorf("verify: %d race records missing from re-decoded trace %s", len(need), a.streamDir)
+	for i, rank := range ranks {
+		if errs[i] != nil {
+			return fmt.Errorf("verify: race details: %w", errs[i])
+		}
+		seqs := need[rank]
+		total += seqs[len(seqs)-1] + 1
+		missing += len(seqs) - len(found[i])
+		for _, rec := range found[i] {
+			a.raceRecs[trace.Ref{Rank: rank, Seq: rec.Seq}] = rec
+		}
+	}
+	opts.Obs.Counter("verify.race_redecode_records").Add(int64(total))
+	if missing > 0 {
+		return fmt.Errorf("verify: race details: %d race records missing from re-decoded trace %s", missing, a.streamDir)
 	}
 	return nil
 }

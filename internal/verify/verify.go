@@ -145,83 +145,55 @@ func Run(tr *trace.Trace, opts Options) (*Report, error) {
 
 // Verify checks every conflict of the analysis under opts.Model.
 func (a *Analysis) Verify(opts Options) (*Report, error) {
-	if err := opts.Model.MSC.Validate(); err != nil {
+	p, err := a.verifyPass(opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRaceDetails == 0 {
-		opts.MaxRaceDetails = 256
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	rep := &Report{
-		Model:         opts.Model.Name,
-		Algorithm:     a.Algorithm.String(),
-		Ranks:         a.NumRanks(),
-		Records:       a.NumRecords(),
-		ConflictPairs: a.Conflicts.Pairs,
-		Problems:      a.Match.Problems,
-		Workers:       opts.Workers,
-		Timing:        a.Timing,
-	}
-	if a.Graph != nil {
-		rep.GraphNodes = a.Graph.Nodes()
-		rep.GraphSyncEdges = a.Graph.SyncEdges()
-		rep.SkeletonNodes = a.Graph.SkeletonNodes()
-		rep.SkeletonLevels = a.Graph.SkeletonLevels()
-	}
-	if len(a.Match.Problems) > 0 && !opts.ContinueOnUnmatched {
-		// Unmatched MPI calls: the synchronization order cannot be
-		// trusted, so verification is not performed (§V-D).
-		rep.Verified = false
-		rep.Metrics = opts.Obs.R.Snapshot()
-		return rep, nil
-	}
-	// Model passes run concurrently in VerifyAll, so each pass gets its own
-	// lane; per-chunk shard spans fork off it below.
-	oc, span := opts.Obs.StartLane("verify/"+opts.Model.Name, "verify",
-		obs.String("model", opts.Model.Name), obs.String("algorithm", rep.Algorithm))
-	span.SetCat("verify")
-	defer span.End()
-
 	start := time.Now()
-	_, idxSpan := oc.Start("sync-index")
-	plan := a.queryPlan()
-	v := &verifier{a: a, opts: opts, oc: oc, idx: a.syncIndexFor(opts.Model, plan), plan: plan}
-	v.initGroupState()
-	idxSpan.End()
-	var cs *cacheSession
-	if opts.Cache != nil {
-		cs = newCacheSession(a, opts, oc)
+	if err := a.prefetchRecords(p.raceRefs(nil), p.opts); err != nil {
+		return nil, err
 	}
-	if cs != nil || (opts.Workers > 1 && len(a.Conflicts.Groups) > 1) {
-		v.verifyChunks(opts.Workers, cs)
-	} else {
-		_, chunkSpan := oc.Start("groups", obs.Int("groups", len(a.Conflicts.Groups)))
-		v.verifyGroups(0, len(a.Conflicts.Groups))
-		chunkSpan.End()
+	return p.report(time.Since(start)), nil
+}
+
+// modelPass is one model's verification up to its race details: the
+// verdicts are final, the raced pairs known, their records not yet
+// fetched. Splitting there lets VerifyAll fetch every model's raced
+// records from a streamed trace in one re-decode.
+type modelPass struct {
+	opts    Options
+	rep     *Report
+	v       *verifier     // nil when verification did not run
+	elapsed time.Duration // the pass's own verification time
+}
+
+// raceRefs appends the records the pass's race details need from a
+// streamed trace (a materialized analysis has them all).
+func (p *modelPass) raceRefs(refs []trace.Ref) []trace.Ref {
+	if p.v == nil || p.v.a.Trace != nil {
+		return refs
 	}
-	if cs != nil {
-		cs.finish()
-		rep.Cache = cs.stats()
+	for _, rp := range p.v.pairs {
+		refs = append(refs, rp.x.Ref, rp.y.Ref)
 	}
-	rep.RaceCount = v.raceCount
-	if a.Trace == nil && len(v.pairs) > 0 {
-		// Streaming analysis: re-decode exactly the raced records (the set
-		// is capped at MaxRaceDetails) before materializing their chains.
-		refs := make([]trace.Ref, 0, 2*len(v.pairs))
-		for _, p := range v.pairs {
-			refs = append(refs, p.x.Ref, p.y.Ref)
-		}
-		if err := a.prefetchRecords(refs); err != nil {
-			return nil, fmt.Errorf("verify: race details: %w", err)
-		}
+	return refs
+}
+
+// report materializes the race details (their records must be fetched, in
+// fetch time) and completes the report.
+func (p *modelPass) report(fetch time.Duration) *Report {
+	rep, v, opts := p.rep, p.v, p.opts
+	if v == nil {
+		rep.Metrics = opts.Obs.R.Snapshot()
+		return rep
 	}
-	for _, p := range v.pairs {
-		rep.Races = append(rep.Races, v.makeRace(p))
+	a := v.a
+	start := time.Now()
+	for _, rp := range v.pairs {
+		rep.Races = append(rep.Races, v.makeRace(rp))
 	}
 	rep.ChecksPerformed = v.checks
-	rep.Timing.Verification = time.Since(start)
+	rep.Timing.Verification = p.elapsed + fetch + time.Since(start)
 	rep.Verified = true
 	rep.ProperlySynchronized = rep.RaceCount == 0
 	sort.Slice(rep.Races, func(i, j int) bool {
@@ -264,7 +236,72 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		}
 		rep.Metrics = r.Snapshot()
 	}
-	return rep, nil
+	return rep
+}
+
+// verifyPass runs one model's verification up to its race details.
+func (a *Analysis) verifyPass(opts Options) (*modelPass, error) {
+	if err := opts.Model.MSC.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.MaxRaceDetails == 0 {
+		opts.MaxRaceDetails = 256
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	rep := &Report{
+		Model:         opts.Model.Name,
+		Algorithm:     a.Algorithm.String(),
+		Ranks:         a.NumRanks(),
+		Records:       a.NumRecords(),
+		ConflictPairs: a.Conflicts.Pairs,
+		Problems:      a.Match.Problems,
+		Workers:       opts.Workers,
+		Timing:        a.Timing,
+	}
+	if a.Graph != nil {
+		rep.GraphNodes = a.Graph.Nodes()
+		rep.GraphSyncEdges = a.Graph.SyncEdges()
+		rep.SkeletonNodes = a.Graph.SkeletonNodes()
+		rep.SkeletonLevels = a.Graph.SkeletonLevels()
+	}
+	if len(a.Match.Problems) > 0 && !opts.ContinueOnUnmatched {
+		// Unmatched MPI calls: the synchronization order cannot be
+		// trusted, so verification is not performed (§V-D).
+		rep.Verified = false
+		return &modelPass{opts: opts, rep: rep}, nil
+	}
+	// Model passes run concurrently in VerifyAll, so each pass gets its own
+	// lane; per-chunk shard spans fork off it below.
+	oc, span := opts.Obs.StartLane("verify/"+opts.Model.Name, "verify",
+		obs.String("model", opts.Model.Name), obs.String("algorithm", rep.Algorithm))
+	span.SetCat("verify")
+	defer span.End()
+
+	start := time.Now()
+	_, idxSpan := oc.Start("sync-index")
+	plan := a.queryPlan()
+	v := &verifier{a: a, opts: opts, oc: oc, idx: a.syncIndexFor(opts.Model, plan), plan: plan}
+	v.initGroupState()
+	idxSpan.End()
+	var cs *cacheSession
+	if opts.Cache != nil {
+		cs = newCacheSession(a, opts, oc)
+	}
+	if cs != nil || (opts.Workers > 1 && len(a.Conflicts.Groups) > 1) {
+		v.verifyChunks(opts.Workers, cs)
+	} else {
+		_, chunkSpan := oc.Start("groups", obs.Int("groups", len(a.Conflicts.Groups)))
+		v.verifyGroups(0, len(a.Conflicts.Groups))
+		chunkSpan.End()
+	}
+	if cs != nil {
+		cs.finish()
+		rep.Cache = cs.stats()
+	}
+	rep.RaceCount = v.raceCount
+	return &modelPass{opts: opts, rep: rep, v: v, elapsed: time.Since(start)}, nil
 }
 
 // verifier checks conflict groups and accumulates races locally. The shared
@@ -281,9 +318,9 @@ type verifier struct {
 	// Group-scoped state (setGroup): within one group sweep the X op and
 	// the conflicting file never change, so X's resolution and the file's
 	// candidate-list map lookups hoist out of the per-pair checks.
-	curXi int32                    // op index of the current group's X (-1 outside a sweep)
-	gFile [][]resolvedRef          // per class: candidates on the group's file
-	gRank []map[int][]resolvedRef  // per class: rank → candidates on the file
+	curXi int32                   // op index of the current group's X (-1 outside a sweep)
+	gFile [][]resolvedRef         // per class: candidates on the group's file
+	gRank []map[int][]resolvedRef // per class: rank → candidates on the file
 
 	// Lazily computed per-group extremes for the po-hb-po fast path: the
 	// earliest class-0 candidate after X on X's rank (xS1) and the latest
@@ -768,31 +805,33 @@ func fullChain(rec *trace.Record) []string {
 // VerifyAll verifies the analysis against every given model, reusing the
 // shared steps. With Workers != 1 the models run concurrently: the oracle
 // is read-only after construction and safe for concurrent queries, and each
-// model pass builds its own syncIndex. Report order always follows the
-// models argument.
+// model pass builds its own syncIndex. A streamed analysis then fetches
+// every model's raced records in one re-decode. Report order always follows
+// the models argument.
 func (a *Analysis) VerifyAll(models []semantics.Model, opts Options) ([]*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([]*Report, len(models))
+	passes := make([]*modelPass, len(models))
 	errs := make([]error, len(models))
+	run := func(i int) {
+		o := opts
+		o.Model = models[i]
+		passes[i], errs[i] = a.verifyPass(o)
+	}
 	if workers == 1 || len(models) == 1 {
-		for i, m := range models {
-			o := opts
-			o.Model = m
-			out[i], errs[i] = a.Verify(o)
+		for i := range models {
+			run(i)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for i, m := range models {
+		for i := range models {
 			wg.Add(1)
-			go func(i int, m semantics.Model) {
+			go func() {
 				defer wg.Done()
-				o := opts
-				o.Model = m
-				out[i], errs[i] = a.Verify(o)
-			}(i, m)
+				run(i)
+			}()
 		}
 		wg.Wait()
 	}
@@ -800,6 +839,21 @@ func (a *Analysis) VerifyAll(models []semantics.Model, opts Options) ([]*Report,
 		if err != nil {
 			return nil, fmt.Errorf("verify: model %s: %w", models[i].Name, err)
 		}
+	}
+	var refs []trace.Ref
+	for _, p := range passes {
+		refs = p.raceRefs(refs)
+	}
+	start := time.Now()
+	if len(passes) > 0 {
+		if err := a.prefetchRecords(refs, passes[0].opts); err != nil {
+			return nil, err
+		}
+	}
+	fetch := time.Since(start)
+	out := make([]*Report, len(models))
+	for i, p := range passes {
+		out[i] = p.report(fetch)
 	}
 	return out, nil
 }

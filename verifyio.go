@@ -370,7 +370,9 @@ type Options struct {
 	// detection shards its per-rank replay and per-file sweep, MPI
 	// matching its per-rank scan (with the two steps also running
 	// concurrently with each other), and verification shards the conflict
-	// groups (plus running models concurrently in VerifyAll). 0 means
+	// groups (plus running models concurrently in VerifyAll). On the
+	// streaming entry points it is also how many rank files decode at
+	// once, each with its share of ReadOptions.WindowBytes. 0 means
 	// GOMAXPROCS; 1 forces the fully serial path. Results are independent
 	// of the worker count.
 	Workers int
