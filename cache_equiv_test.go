@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"verifyio/internal/corpus"
@@ -282,5 +283,79 @@ func TestPublicAPICache(t *testing.T) {
 	hits, misses, _ := cache.Stats()
 	if misses == 0 || hits == 0 {
 		t.Errorf("cache totals hits=%d misses=%d: want a cold and a warm run recorded", hits, misses)
+	}
+}
+
+// TestCacheCrossModeVerdicts: the verdict cache cannot tell the ingestion
+// modes apart. Verdicts sealed by VerifyAll on a directory are all hits for
+// VerifyAllStream on the same directory and vice versa, and after an append
+// both modes re-verify against a sealed store with identical hit, miss and
+// dirty-chunk counts — whichever mode sealed it. That pins equal block
+// chains (materialized trace.BlockChain vs the streamed pass's ChainBuilder)
+// and equal unlink positions across the two record sources.
+func TestCacheCrossModeVerdicts(t *testing.T) {
+	baseDir, appDir := t.TempDir(), t.TempDir()
+	base := corpus.ScalingTrace(appendRanks, appendOps, appendWindow, appendSeed)
+	app := corpus.ScalingTraceAppend(appendRanks, appendOps, appendExtra, appendWindow, appendSeed)
+	for dir, tr := range map[string]*trace.Trace{baseDir: base, appDir: app} {
+		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	modes := []struct {
+		name string
+		run  func(dir string, opts *Options) ([]*Report, error)
+	}{
+		{"materialized", func(dir string, opts *Options) ([]*Report, error) {
+			tr, err := ReadTraceDir(dir)
+			if err != nil {
+				return nil, err
+			}
+			return VerifyAll(tr, opts)
+		}},
+		{"stream", func(dir string, opts *Options) ([]*Report, error) {
+			reps, _, err := VerifyAllStream(dir, ReadOptions{}, opts)
+			return reps, err
+		}},
+	}
+	run := func(mode int, dir string, cache *Cache) []*Report {
+		t.Helper()
+		reps, err := modes[mode].run(dir, &Options{Workers: 2, Cache: cache, CacheID: "cross-mode"})
+		if err != nil {
+			t.Fatalf("%s %s: %v", modes[mode].name, dir, err)
+		}
+		return reps
+	}
+	stats := func(reps []*Report) string {
+		var b bytes.Buffer
+		for _, rep := range reps {
+			fmt.Fprintf(&b, "%s %+v; ", rep.Model, *rep.Cache)
+		}
+		return b.String()
+	}
+
+	var dirty []string
+	for seal := range modes {
+		for other := range modes {
+			cache := NewMemoryCache()
+			cold := run(seal, baseDir, cache)
+			warm := run(other, baseDir, cache)
+			for i := range warm {
+				if cold[i].Cache.Misses == 0 || warm[i].Cache.Misses != 0 || warm[i].Cache.Hits != cold[i].Cache.Misses {
+					t.Errorf("sealed by %s, re-verified by %s: %s: cold %+v, warm %+v — want every sealed chunk a hit",
+						modes[seal].name, modes[other].name, warm[i].Model, *cold[i].Cache, *warm[i].Cache)
+				}
+			}
+			dirty = append(dirty, stats(run(other, appDir, cache)))
+			t.Logf("sealed by %s, appended re-verify by %s: %s", modes[seal].name, modes[other].name, dirty[len(dirty)-1])
+		}
+	}
+	for i := 1; i < len(dirty); i++ {
+		if dirty[i] != dirty[0] {
+			t.Errorf("appended re-verify cache stats differ across modes:\n%s\nvs\n%s", dirty[i], dirty[0])
+		}
+	}
+	if !strings.Contains(dirty[0], "DirtyChunks:") || strings.Contains(dirty[0], "DirtyChunks:0") {
+		t.Errorf("appended re-verify charged no dirty chunks (test is vacuous): %s", dirty[0])
 	}
 }

@@ -22,8 +22,10 @@
 //
 // -stream makes the stored-trace pass (table4) analyze each trace while
 // decoding it in bounded windows (-window BYTES, default 4 MiB) instead of
-// materializing it; results are identical, only the stage-time split
-// changes (the fused pass reports the detect+match wall clock).
+// materializing it; results are identical. Table 4's stage rows are busy
+// times in both modes — each stage's per-rank work summed over ranks plus
+// its cross-rank finish — so with -stream "Read trace" is the decode busy
+// time; the detect+match row is elapsed time.
 //
 // -corpus-out writes the fleet rollup: every corpus test's verification
 // outcomes bucketed by consistency model, I/O library, and the trace's DFG
@@ -342,8 +344,9 @@ func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, stream
 		aopts := verify.AnalyzeOptions{Workers: vopts.Workers, Obs: vopts.Obs}
 		var a *verify.Analysis
 		if stream {
-			// The fused pass decodes while it detects and matches, so the
-			// read shows up in the detect+match wall clock, not Read trace.
+			// The fused pass decodes while it detects and matches: Read
+			// trace is its decode busy time, summed over ranks like the
+			// detect and match stages.
 			a, err = verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
 				AnalyzeOptions: aopts,
 				Decode:         dopts,

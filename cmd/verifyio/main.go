@@ -18,9 +18,11 @@
 // (-window BYTES, default 4 MiB, negative = unbounded) rather than the trace
 // size. With -workers N the rank files decode N at a time (at most one per
 // rank), each on its own worker with an equal share of the window. Reports
-// are identical to the materializing path; only the Timing split differs
-// (the fused pass reports DetectMatchWall). -diagnose needs the materialized
-// trace and cannot be combined with -stream.
+// are identical to the materializing path, and so is the meaning of the
+// timing line: each stage is its busy time (per-rank work summed over ranks
+// plus the cross-rank finish); under -stream read= is the decode busy time.
+// -diagnose needs the materialized trace and cannot be combined with
+// -stream.
 //
 // -cache-dir attaches a persistent verdict cache: chunks of the verification
 // plan are memoized by content digest, so re-running over an unchanged trace

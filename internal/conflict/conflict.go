@@ -106,54 +106,29 @@ func Detect(tr *trace.Trace) (*Result, error) {
 }
 
 // DetectOpts scans the trace and returns all data operations,
-// synchronization points, and conflict groups.
+// synchronization points, and conflict groups. It is a front over
+// StreamDetector: each rank is fed whole, on its own worker.
 func DetectOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(tr.Ranks)))
 	span.SetCat("detect")
 	defer span.End()
 
-	shards := make([]*rankShard, len(tr.Ranks))
+	sd := NewStreamDetector(len(tr.Ranks))
 	par.DoObs(oc, "detect-replay", workers, len(tr.Ranks), func(rank int) {
 		_, sp := oc.StartLane("detect/rank-"+fmt.Sprint(rank), "replay", obs.Int("rank", rank))
-		shards[rank] = replayRank(tr.Ranks[rank])
+		sd.Feed(rank, tr.Ranks[rank])
 		sp.End()
 	})
-	return finishShards(shards, workers, oc)
-}
-
-// finishShards is the serial tail of detection, shared by the materialized
-// and streaming front-ends: canonicalize file identities, sweep for
-// conflicting pairs, publish metrics.
-func finishShards(shards []*rankShard, workers int, oc obs.Ctx) (*Result, error) {
-	_, mergeSpan := oc.Start("merge")
-	res := mergeShards(shards)
-	mergeSpan.End()
-	if len(res.Ops) > math.MaxInt32 {
-		return nil, fmt.Errorf("conflict: %d data operations exceed the int32 group index space", len(res.Ops))
-	}
-	detectPairs(res, workers, oc)
-	if r := oc.R; r != nil {
-		r.Counter("conflict.ops").Add(int64(len(res.Ops)))
-		r.Counter("conflict.syncs").Add(int64(len(res.Syncs)))
-		r.Counter("conflict.skipped").Add(int64(res.Skipped))
-		r.Counter("conflict.files").Add(int64(len(res.Files)))
-		r.Counter("conflict.pairs").Add(res.Pairs)
-		r.Counter("conflict.groups").Add(int64(len(res.Groups)))
-		fanout := r.Histogram("conflict.group_fanout", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-		for i := range res.Groups {
-			fanout.Observe(int64(len(res.Groups[i].Ys())))
-		}
-	}
-	return res, nil
+	return sd.finish(workers, oc)
 }
 
 // StreamDetector runs detection over records as they decode: the per-rank
 // metadata replay consumes each batch the moment it arrives (so no rank's
 // records need to stay resident), and Finish runs the serial merge and pair
-// sweep exactly as DetectOpts would. Feeding a rank its records in order —
-// in any batch partitioning, interleaved with other ranks however the
-// stream delivers them — yields the identical Result.
+// sweep. Feeding a rank its records in order — in any batch partitioning,
+// interleaved with other ranks however the stream delivers them — yields
+// the identical Result. Feed calls for distinct ranks may run concurrently.
 type StreamDetector struct {
 	replayers []*rankReplayer
 }
@@ -178,15 +153,39 @@ func (sd *StreamDetector) Feed(rank int, recs []trace.Record) {
 
 // Finish completes detection over everything fed so far.
 func (sd *StreamDetector) Finish(opts Options) (*Result, error) {
-	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(sd.replayers)))
 	span.SetCat("detect")
 	defer span.End()
+	return sd.finish(par.Resolve(opts.Workers), oc)
+}
+
+// finish is the serial tail of detection: canonicalize file identities,
+// sweep for conflicting pairs, publish metrics.
+func (sd *StreamDetector) finish(workers int, oc obs.Ctx) (*Result, error) {
 	shards := make([]*rankShard, len(sd.replayers))
 	for rank, rp := range sd.replayers {
 		shards[rank] = rp.sh
 	}
-	return finishShards(shards, workers, oc)
+	_, mergeSpan := oc.Start("merge")
+	res := mergeShards(shards)
+	mergeSpan.End()
+	if len(res.Ops) > math.MaxInt32 {
+		return nil, fmt.Errorf("conflict: %d data operations exceed the int32 group index space", len(res.Ops))
+	}
+	detectPairs(res, workers, oc)
+	if r := oc.R; r != nil {
+		r.Counter("conflict.ops").Add(int64(len(res.Ops)))
+		r.Counter("conflict.syncs").Add(int64(len(res.Syncs)))
+		r.Counter("conflict.skipped").Add(int64(res.Skipped))
+		r.Counter("conflict.files").Add(int64(len(res.Files)))
+		r.Counter("conflict.pairs").Add(res.Pairs)
+		r.Counter("conflict.groups").Add(int64(len(res.Groups)))
+		fanout := r.Histogram("conflict.group_fanout", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256})
+		for i := range res.Groups {
+			fanout.Observe(int64(len(res.Groups[i].Ys())))
+		}
+	}
+	return res, nil
 }
 
 // localKey names a file identity as one rank sees it in isolation: the path
@@ -214,8 +213,8 @@ type rankShard struct {
 
 // rankReplayer holds one rank's in-progress metadata replay: the replay is
 // a pure left-to-right fold over the rank's records, so it can consume them
-// in any batch partitioning — the whole rank at once (replayRank) or batch
-// by batch as a stream decodes them (StreamDetector).
+// in any batch partitioning — the whole rank at once (DetectOpts) or batch
+// by batch as a stream decodes them.
 type rankReplayer struct {
 	sh      *rankShard
 	fids    map[localKey]int
@@ -273,16 +272,6 @@ func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
 
 func (rp *rankReplayer) lookup(handle string) *handleState {
 	return rp.handles[handle]
-}
-
-// replayRank replays one rank's metadata history. It touches no shared
-// state, which is what makes the replay embarrassingly parallel.
-func replayRank(recs []trace.Record) *rankShard {
-	rp := newRankReplayer()
-	for i := range recs {
-		rp.step(&recs[i])
-	}
-	return rp.sh
 }
 
 // step folds the next record into the replay.

@@ -235,7 +235,7 @@ func TestSweepShardsWithinSingleFile(t *testing.T) {
 // TestStreamDetectorMatchesMaterialized feeds one trace through the
 // streaming detector in ragged batch partitionings and requires the exact
 // Result the materialized path produces, at several worker counts — the
-// streaming path rides the same sliced sweep through finishShards.
+// streaming path rides the same sliced sweep through StreamDetector.finish.
 func TestStreamDetectorMatchesMaterialized(t *testing.T) {
 	tr := synthTrace(3, 700, 1<<10, 11)
 	base, err := DetectOpts(tr, Options{Workers: 1})

@@ -56,9 +56,9 @@ func BenchmarkOracleConstruction(b *testing.B) {
 			}
 		}
 	})
-	b.Run("transitive-closure", func(b *testing.B) {
+	b.Run("segment", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := g.TransitiveClosure(); err != nil {
+			if _, err := g.SegReachability(SegOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -119,7 +119,7 @@ func BenchmarkVectorClocks(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleQueries compares per-query cost across the five algorithms
+// BenchmarkOracleQueries compares per-query cost across the four algorithms
 // on the same graph and query set.
 func BenchmarkOracleQueries(b *testing.B) {
 	tr, edges := synthGraph(8, 1000, 0.1, 11)
@@ -131,15 +131,11 @@ func BenchmarkOracleQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
-	if err != nil {
-		b.Fatal(err)
-	}
 	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracles := []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, edges)}
+	oracles := []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, edges)}
 	rng := rand.New(rand.NewSource(3))
 	queries := make([][2]trace.Ref, 512)
 	for i := range queries {

@@ -6,7 +6,8 @@
 //  1. Vector clocks: a topological sort propagates one clock entry per rank
 //     through the graph; queries are O(1) afterwards.
 //  2. Graph reachability: breadth-first search per query, with memoization.
-//  3. Transitive closure: reverse-topological bitset union; O(1) queries.
+//  3. Transitive closure: reverse-topological bitset union; O(1) queries
+//     (SegReachability, segreach.go — the segment×segment closure).
 //  4. On-the-fly (package otf entry point below via NewOnTheFly): answers
 //     queries directly from the matched synchronization edges without
 //     building the graph.

@@ -36,7 +36,7 @@ func edges(pairs ...[4]int) []match.Edge {
 	return out
 }
 
-// allOracles builds the four graph-based oracles plus the on-the-fly one.
+// allOracles builds the three graph-based oracles plus the on-the-fly one.
 func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
 	t.Helper()
 	g, err := Build(tr, es)
@@ -47,15 +47,11 @@ func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
 	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, es)}
+	return []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
 }
 
 func TestProgramOrderIsHB(t *testing.T) {
@@ -132,38 +128,6 @@ func TestBuildRejectsOutOfRangeEdges(t *testing.T) {
 	}
 }
 
-func TestTransitiveClosureBudget(t *testing.T) {
-	// The budget is on skeleton nodes: a sync-dense graph whose skeleton
-	// exceeds it is refused...
-	per := maxTCNodes/2 + 1
-	tr := mkTrace(per, per)
-	es := make([]match.Edge, 0, per-1)
-	for i := 0; i+1 < per; i++ {
-		es = append(es, match.Edge{From: ref(0, i), To: ref(1, i+1)})
-	}
-	g, err := Build(tr, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SkeletonNodes() <= maxTCNodes {
-		t.Fatalf("test graph skeleton %d nodes, need > %d", g.SkeletonNodes(), maxTCNodes)
-	}
-	if _, err := g.TransitiveClosure(); err == nil {
-		t.Fatal("transitive closure ignored its memory budget")
-	}
-	// ...while a sync-sparse trace with even more records now qualifies: its
-	// skeleton is just the sentinels.
-	sparse := mkTrace(maxTCNodes + 1)
-	g2, err := Build(sparse, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g2.TransitiveClosure(); err != nil {
-		t.Fatalf("transitive closure refused a %d-record trace with a %d-node skeleton: %v",
-			maxTCNodes+1, g2.SkeletonNodes(), err)
-	}
-}
-
 // TestSegReachabilityBudget probes the byte-budget boundary exactly: a budget
 // of the matrix's own size builds, one byte less refuses, and a negative
 // budget disables the cap entirely.
@@ -202,7 +166,50 @@ func TestSegReachabilityBudget(t *testing.T) {
 	}
 }
 
-// TestOracleQueriesOutsideTrace covers the shared bounds check of all five
+// TestTransitiveClosureBudget checks the default budget of the closure matrix
+// that the transitive-closure algorithm builds. The budget is on the skeleton,
+// not the trace: a sync-dense graph whose skeleton outgrows it is refused,
+// while a sync-sparse trace with even more records qualifies.
+func TestTransitiveClosureBudget(t *testing.T) {
+	// A two-rank ping-pong has a skeleton node per edge endpoint, so per
+	// records per rank give a skeleton past the budget.
+	per := segBudgetNodes()/2 + 1
+	dense := mkTrace(per, per)
+	des := make([]match.Edge, 0, per-1)
+	for i := 0; i+1 < per; i++ {
+		des = append(des, match.Edge{From: ref(0, i), To: ref(1, i+1)})
+	}
+	gd, err := Build(dense, des)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gd.SkeletonNodes() <= segBudgetNodes() {
+		t.Fatalf("test graph skeleton %d nodes, need > %d", gd.SkeletonNodes(), segBudgetNodes())
+	}
+	if _, err := gd.SegReachability(SegOptions{}); err == nil {
+		t.Fatal("segment reachability ignored the default budget on a dense skeleton")
+	}
+	sparse := mkTrace(2*per + 1)
+	gs, err := Build(sparse, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.SegReachability(SegOptions{}); err != nil {
+		t.Fatalf("segment reachability refused a %d-record trace with a %d-node skeleton: %v",
+			2*per+1, gs.SkeletonNodes(), err)
+	}
+}
+
+// segBudgetNodes is the largest skeleton whose matrix fits the default
+// budget: n rows of ceil(n/64) words.
+func segBudgetNodes() int {
+	n := 0
+	for size := func(n int) int { return n * ((n + 63) / 64) * 8 }; size(n+1) <= DefaultSegReachBudget; n++ {
+	}
+	return n
+}
+
+// TestOracleQueriesOutsideTrace covers the shared bounds check of all four
 // algorithms: refs with out-of-range ranks or sequences (high and negative)
 // are never hb-related in either direction.
 func TestOracleQueriesOutsideTrace(t *testing.T) {
@@ -342,7 +349,7 @@ func (b *bruteOracle) HB(x, y trace.Ref) bool {
 }
 
 // TestPropertyAllAlgorithmsAgree is the §IV-D cross-validation: on random
-// acyclic executions, all five oracles and the brute-force reference answer
+// acyclic executions, all four oracles and the brute-force reference answer
 // every query identically.
 func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64) bool {
@@ -392,15 +399,11 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		tc, err := g.TransitiveClosure()
-		if err != nil {
-			return false
-		}
 		seg, err := g.SegReachability(SegOptions{})
 		if err != nil {
 			return false
 		}
-		oracles := []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, es)}
+		oracles := []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
 		brute := newBrute(tr, es)
 		for i := 0; i < len(nodes); i++ {
 			for j := 0; j < len(nodes); j++ {
@@ -548,11 +551,11 @@ func TestOraclesConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
+	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Oracle{vc, g.Reachability(), tc, NewOnTheFly(tr, es)} {
+	for _, o := range []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)} {
 		o := o
 		t.Run(o.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))

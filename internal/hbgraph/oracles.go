@@ -2,7 +2,6 @@ package hbgraph
 
 import (
 	"container/list"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -13,7 +12,7 @@ import (
 )
 
 // All oracles are safe for concurrent HB queries once constructed: VCOracle
-// and TCOracle are immutable, BFSOracle guards its memo with striped locks,
+// and SegOracle are immutable, BFSOracle guards its memo with striped locks,
 // and OTFOracle keeps per-query state in a sync.Pool. The parallel verifier
 // (internal/verify) relies on this contract.
 //
@@ -298,76 +297,6 @@ func (o *BFSOracle) MemoStats() (hits, misses int64) {
 		s.mu.Unlock()
 	}
 	return hits, misses
-}
-
-// ---------------------------------------------------------------------------
-// 3. Transitive closure (§IV-D3)
-
-// TCOracle answers hb queries from a full skeleton transitive-closure bitset.
-type TCOracle struct {
-	g     *Graph
-	words int
-	bits  []uint64 // S * words
-}
-
-// maxTCNodes bounds the transitive closure's O(S²) memory (64 MiB of
-// bitsets ≈ 23k nodes). The budget is on skeleton nodes: sync-sparse traces
-// of millions of records still qualify when their skeleton is small.
-const maxTCNodes = 1 << 15
-
-// TransitiveClosure materializes skeleton reachability bitsets in reverse
-// topological order. It refuses graphs whose closure would not fit in
-// memory; callers fall back to another oracle (the dynamic selection of
-// §VII).
-func (g *Graph) TransitiveClosure() (*TCOracle, error) {
-	s := &g.skel
-	if s.n > maxTCNodes {
-		return nil, fmt.Errorf("hbgraph: transitive closure over %d skeleton nodes exceeds the %d-node budget", s.n, maxTCNodes)
-	}
-	if s.cycleErr != nil {
-		return nil, s.cycleErr
-	}
-	words := (s.n + 63) / 64
-	bits := make([]uint64, s.n*words)
-	row := func(id int32) []uint64 { return bits[int(id)*words : (int(id)+1)*words] }
-	// levelOrder is a topological order (every node's predecessors sit in
-	// earlier levels), so its reverse processes successors first.
-	for i := len(s.levelOrder) - 1; i >= 0; i-- {
-		id := s.levelOrder[i]
-		r := row(id)
-		s.forEachSkelSucc(id, func(sc int32) {
-			r[sc/64] |= 1 << (uint(sc) % 64)
-			for w, v := range row(sc) {
-				r[w] |= v
-			}
-		})
-	}
-	return &TCOracle{g: g, words: words, bits: bits}, nil
-}
-
-// HB reports whether a happens-before b, via the same skeleton mapping as
-// BFSOracle.
-func (o *TCOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	if !o.g.inRange(a) || !o.g.inRange(b) {
-		return false
-	}
-	src := o.g.skelNext(a)
-	dst := o.g.skelPrev(b)
-	return o.bits[int(src)*o.words+int(dst)/64]&(1<<(uint(dst)%64)) != 0
-}
-
-// Name identifies the algorithm.
-func (o *TCOracle) Name() string { return "transitive-closure" }
-
-// SegGraph returns the graph whose skeleton coordinates ProbeSeg accepts.
-func (o *TCOracle) SegGraph() *Graph { return o.g }
-
-// ProbeSeg answers a pre-resolved cross-rank query in one bit probe.
-func (o *TCOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
-	return o.bits[int(aNext)*o.words+int(bPrev)/64]&(1<<(uint(bPrev)%64)) != 0
 }
 
 // ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ import (
 // traces S ≪ V, so the whole matrix is a few kilobytes — cheap enough to
 // precompute once and share across every model pass and verification chunk.
 //
-// Unlike TCOracle (bounded by a node count), SegReachability is bounded by
-// an explicit byte budget and its rows are filled level-parallel: the
-// reverse wavefront processes one topological level at a time, and within a
-// level no node's row depends on another's (every skeleton edge goes to a
-// strictly later level), so the rows fill concurrently via internal/par.
+// It is also the transitive closure of §IV-D3 (verify.AlgoTransitiveClosure
+// builds it). The matrix is bounded by an explicit byte budget and its rows
+// are filled level-parallel: the reverse wavefront processes one topological
+// level at a time, and within a level no node's row depends on another's
+// (every skeleton edge goes to a strictly later level), so the rows fill
+// concurrently via internal/par.
 
-// DefaultSegReachBudget bounds the S²-bit reachability matrix (64 MiB ≈ 23k
-// skeleton nodes). Callers over budget fall back to the vector-clock oracle,
-// mirroring the transitive-closure node budget.
+// DefaultSegReachBudget bounds the S²-bit reachability matrix: 64 MiB holds
+// the closure of about 23k skeleton nodes (S²/8 bytes). Callers over budget
+// fall back to another oracle.
 const DefaultSegReachBudget = 64 << 20
 
 // segMinParallelWidth is the level width below which the wavefront stays on
@@ -169,6 +170,5 @@ func (g *Graph) SegCoords(ref trace.Ref) (prev, next int32, ok bool) {
 var (
 	_ SegProber = (*VCOracle)(nil)
 	_ SegProber = (*BFSOracle)(nil)
-	_ SegProber = (*TCOracle)(nil)
 	_ SegProber = (*SegOracle)(nil)
 )

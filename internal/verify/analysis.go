@@ -11,8 +11,7 @@ package verify
 
 import (
 	"fmt"
-	"io"
-	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -69,13 +68,21 @@ func AlgoByName(name string) (Algo, error) {
 	return 0, fmt.Errorf("verify: unknown algorithm %q (have auto, vector-clock, reachability, transitive-closure, on-the-fly, segment)", name)
 }
 
-// Timing is the per-stage breakdown Table IV reports.
+// Timing is the per-stage breakdown Table IV reports. It has one meaning in
+// both ingestion modes: every stage field is that stage's busy time — the
+// sum over ranks of its per-rank work, plus its cross-rank finish — so with
+// Workers != 1 a stage can report more time than elapsed while it ran. The
+// "Wall"-suffixed fields are elapsed time.
 type Timing struct {
-	// ReadTrace is set by callers that loaded the trace from storage.
+	// ReadTrace is decode busy time. A streamed analysis sums the time each
+	// rank spent decoding its batches; on a materialized trace it is set by
+	// the caller that loaded it (zero otherwise).
 	ReadTrace time.Duration
-	// DetectConflicts covers step 2.
+	// DetectConflicts covers step 2: every rank's metadata replay plus the
+	// cross-rank merge and pair sweep.
 	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching).
+	// Match covers step 3: every rank's MPI scan plus the cross-rank
+	// collective and point-to-point matching.
 	Match time.Duration
 	// BuildGraph covers happens-before graph construction.
 	BuildGraph time.Duration
@@ -84,38 +91,33 @@ type Timing struct {
 	// Verification covers the per-model conflict checking.
 	Verification time.Duration
 
-	// Wall-clock overlap fields. Every field whose name ends in "Wall"
-	// measures elapsed wall time across stages that (can) run concurrently,
-	// so it overlaps the per-stage durations above and MUST be excluded
-	// from Total — adding one to the sum would double-report. The naming
-	// convention is enforced by the reflection pin test in timing_test.go:
-	// a new overlap field is excluded automatically by its suffix, and a
-	// new per-stage field fails the test until Total is updated.
+	// Elapsed-time fields. Every field whose name ends in "Wall" measures
+	// elapsed time across stages that (can) run concurrently, so it overlaps
+	// the busy-time fields above and MUST be excluded from Total — adding
+	// one to the sum would double-report. The naming convention is enforced
+	// by the reflection pin test in timing_test.go: a new overlap field is
+	// excluded automatically by its suffix, and a new per-stage field fails
+	// the test until Total is updated.
 
-	// DetectMatchWall is the wall-clock time of the combined
-	// detect-conflicts/match phase. With Workers != 1 the two stages run
-	// concurrently (they are independent consumers of the trace), so this
-	// is less than DetectConflicts + Match; serially it is their sum.
+	// DetectMatchWall is the elapsed time of the per-rank pass (decode when
+	// streaming, replay, scan) and the two cross-rank finishes. Serially it
+	// is at least DetectConflicts + Match; with Workers != 1 the ranks run
+	// concurrently and it can be less.
 	DetectMatchWall time.Duration
-	// AnalyzeWall is the wall-clock time of the whole Analyze call
-	// (detect + match + graph build + clock generation), the elapsed time
-	// a caller observes for steps 2–3.
+	// AnalyzeWall is the elapsed time of the whole analysis call (steps 2–3
+	// plus happens-before construction; opening the stream when streaming).
 	AnalyzeWall time.Duration
 }
 
-// Total sums the per-stage durations. Wall-clock overlap fields
-// ("Wall"-suffixed) are intentionally excluded: they re-measure spans of
-// the same stages and would double-report.
+// Total sums the per-stage busy times. Elapsed-time fields ("Wall"-suffixed)
+// are intentionally excluded: they re-measure spans of the same stages and
+// would double-report.
 func (t Timing) Total() time.Duration {
 	return t.ReadTrace + t.DetectConflicts + t.Match + t.BuildGraph + t.VectorClock + t.Verification
 }
 
 // Analysis is the model-independent part of a verification run.
 type Analysis struct {
-	// Trace is the materialized trace. Nil for analyses produced by
-	// AnalyzeStream, which consume records as they decode and keep only
-	// the derived state below.
-	Trace     *trace.Trace
 	Conflicts *conflict.Result
 	Match     *match.Result
 	Oracle    hbgraph.Oracle
@@ -127,27 +129,20 @@ type Analysis struct {
 	Timing Timing
 
 	// counts are the per-rank record counts — the positional facts reports
-	// and cache manifests need; always valid even when Trace is nil.
+	// and cache manifests need.
 	counts []int
 	// salvage is the decode salvage state of the ingested trace (nil or
 	// clean for an intact trace). A salvaged analysis runs on partial
 	// evidence: the verdict cache salts its epoch with the salvage extents
 	// and publishes no incremental manifest (see cache.go).
 	salvage *trace.DecodeStats
-	// Streaming-only state (Trace == nil): the trace directory and decode
-	// options for re-fetching race-detail records, the per-rank block
-	// chains and unlink positions digested during the single pass (what
-	// cacheArtifacts reads instead of the records).
-	streamDir    string
-	streamOpts   trace.DecodeOptions
-	streamWindow int64
-	chains       [][][32]byte
-	unlinkSeqs   [][]int32
-
-	// raceRecs memoizes records re-decoded for race details on streaming
-	// analyses; model passes share it.
-	raceMu   sync.Mutex
-	raceRecs map[trace.Ref]trace.Record
+	// unlinkSeqs are each rank's positions of fid-generation bumps (unlink
+	// records with a path — exactly those conflict detection counts),
+	// ascending; the verdict cache's unlink guard reads them.
+	unlinkSeqs [][]int32
+	// records is where raw records live after the pass: block chains for
+	// the verdict cache and race-detail records.
+	records recordSource
 
 	// cacheArt memoizes the verdict-cache digests (chunk plan, content
 	// digests, sync epoch, block chains): they are model independent, so
@@ -165,6 +160,27 @@ type Analysis struct {
 	idxMu   sync.Mutex
 	idxMemo map[string]*syncIndex
 }
+
+// recordSource is where an analysis finds raw records once its pass is
+// over: the per-rank block chains the verdict cache keys its manifests on,
+// and the records race details name. It is the one difference left between
+// the ingestion modes.
+type recordSource interface {
+	// chain returns rank's block chain (trace.BlockChain of its records).
+	chain(rank int) [][32]byte
+	// fetch makes the records of refs available to record.
+	fetch(refs []trace.Ref, opts Options) error
+	// record returns a fetched record.
+	record(ref trace.Ref) *trace.Record
+}
+
+// memRecords serves a materialized trace: chains are digested on first
+// cache use (no cost without a cache) and every record is at hand.
+type memRecords struct{ tr *trace.Trace }
+
+func (m memRecords) chain(rank int) [][32]byte          { return trace.BlockChain(m.tr.Ranks[rank]) }
+func (memRecords) fetch([]trace.Ref, Options) error     { return nil }
+func (m memRecords) record(ref trace.Ref) *trace.Record { return m.tr.Record(ref) }
 
 // NumRanks returns the number of ranks analyzed.
 func (a *Analysis) NumRanks() int { return len(a.counts) }
@@ -195,113 +211,6 @@ func (a *Analysis) salvaged() bool {
 	return a.salvage != nil && !a.salvage.Clean()
 }
 
-// record resolves one record for race-detail materialization. Streaming
-// analyses serve it from the prefetched memo (see prefetchRecords); the
-// ref must have been prefetched.
-func (a *Analysis) record(ref trace.Ref) *trace.Record {
-	if a.Trace != nil {
-		return a.Trace.Record(ref)
-	}
-	a.raceMu.Lock()
-	rec, ok := a.raceRecs[ref]
-	a.raceMu.Unlock()
-	if !ok {
-		// Contract violation (prefetchRecords not called); fail soft with
-		// an empty record rather than panicking inside report assembly.
-		return &trace.Record{Rank: ref.Rank, Seq: ref.Seq}
-	}
-	return &rec
-}
-
-// prefetchRecords re-decodes the given records from the stream source into
-// the race-detail memo. No-op for materialized analyses. Only rank files
-// holding a needed record are opened; they decode in parallel, each
-// stopping after its last needed record. The set is bounded by the models'
-// MaxRaceDetails, so this is a cheap windowed pass.
-func (a *Analysis) prefetchRecords(refs []trace.Ref, opts Options) error {
-	if a.Trace != nil || len(refs) == 0 {
-		return nil
-	}
-	a.raceMu.Lock()
-	defer a.raceMu.Unlock()
-	need := make(map[int][]int) // rank -> needed seqs
-	for _, ref := range refs {
-		if _, ok := a.raceRecs[ref]; !ok {
-			need[ref.Rank] = append(need[ref.Rank], ref.Seq)
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	ranks := make([]int, 0, len(need))
-	for r := range need {
-		ranks = append(ranks, r)
-	}
-	slices.Sort(ranks)
-	for _, r := range ranks {
-		slices.Sort(need[r])
-		need[r] = slices.Compact(need[r])
-	}
-	oc, span := opts.Obs.Start("race-details", obs.Int("ranks", len(ranks)))
-	defer span.End()
-	workers := par.Resolve(opts.Workers)
-	s, err := trace.OpenRanks(a.streamDir, ranks, trace.StreamOptions{
-		DecodeOptions: trace.DecodeOptions{Limits: a.streamOpts.Limits, Tolerate: a.streamOpts.Tolerate,
-			Obs: obs.Ctx{T: oc.T, S: oc.S}},
-		WindowBytes: a.streamWindow,
-		Concurrency: workers,
-	})
-	if err != nil {
-		return fmt.Errorf("verify: race details: %w", err)
-	}
-	defer s.Close()
-	found := make([][]trace.Record, len(ranks))
-	errs := make([]error, len(ranks))
-	par.Do(workers, len(ranks), func(i int) {
-		src, seqs := s.Sources()[i], need[ranks[i]]
-		for len(seqs) > 0 {
-			b, err := src.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for len(seqs) > 0 && seqs[0] < b.Start+len(b.Recs) {
-				if seqs[0] >= b.Start {
-					found[i] = append(found[i], b.Recs[seqs[0]-b.Start])
-				}
-				seqs = seqs[1:]
-			}
-			b.Release()
-		}
-	})
-	// The counter is the records read through the last needed one on each
-	// opened rank: unlike the batches decoded, it does not depend on the
-	// per-rank window, and so not on the worker count.
-	total, missing := 0, 0
-	if a.raceRecs == nil {
-		a.raceRecs = make(map[trace.Ref]trace.Record)
-	}
-	for i, rank := range ranks {
-		if errs[i] != nil {
-			return fmt.Errorf("verify: race details: %w", errs[i])
-		}
-		seqs := need[rank]
-		total += seqs[len(seqs)-1] + 1
-		missing += len(seqs) - len(found[i])
-		for _, rec := range found[i] {
-			a.raceRecs[trace.Ref{Rank: rank, Seq: rec.Seq}] = rec
-		}
-	}
-	opts.Obs.Counter("verify.race_redecode_records").Add(int64(total))
-	if missing > 0 {
-		return fmt.Errorf("verify: race details: %d race records missing from re-decoded trace %s", missing, a.streamDir)
-	}
-	return nil
-}
-
 // autoThresholds: with few conflicts but a huge graph, building clocks costs
 // more than it saves; otherwise vector clocks win (O(1) queries).
 const (
@@ -311,11 +220,10 @@ const (
 
 // AnalyzeOptions tunes Analyze.
 type AnalyzeOptions struct {
-	// Workers bounds the goroutines used inside steps 2–3: conflict.Detect
-	// shards its per-rank replay and per-file sweep, match.Match its
-	// per-rank scan, and with Workers != 1 the two steps additionally run
-	// concurrently with each other. 0 means GOMAXPROCS; 1 forces the fully
-	// serial path. The analysis is identical at every worker count.
+	// Workers bounds the goroutines used inside steps 2–3: the per-rank pass
+	// (replay and MPI scan of each rank on its own worker), the conflict
+	// sweep, and the happens-before wavefronts. 0 means GOMAXPROCS; 1 forces
+	// the fully serial path. The analysis is identical at every worker count.
 	Workers int
 	// Obs carries telemetry sinks through the whole analysis; the zero Ctx
 	// disables instrumentation.
@@ -328,71 +236,104 @@ func Analyze(tr *trace.Trace, algo Algo) (*Analysis, error) {
 	return AnalyzeOpts(tr, algo, AnalyzeOptions{})
 }
 
-// AnalyzeOpts runs steps 2 and 3 on the trace and prepares the
-// happens-before oracle.
+// AnalyzeOpts runs steps 2 and 3 on a materialized trace and prepares the
+// happens-before oracle: the analysis core with each rank fed as one batch.
 func AnalyzeOpts(tr *trace.Trace, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
-	workers := par.Resolve(opts.Workers)
-	a := &Analysis{Trace: tr, counts: make([]int, tr.NumRanks())}
+	oc, span := opts.Obs.Start("analyze", obs.Int("workers", par.Resolve(opts.Workers)))
+	span.SetCat("analyze")
+	defer span.End()
+	start := time.Now()
+
+	a := &Analysis{counts: make([]int, tr.NumRanks()), records: memRecords{tr}}
 	for rank, recs := range tr.Ranks {
 		a.counts[rank] = len(recs)
 	}
-	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
-	span.SetCat("analyze")
-	defer span.End()
-	analyzeWall := time.Now()
-	defer func() { a.Timing.AnalyzeWall = time.Since(analyzeWall) }()
-
-	// Steps 2 and 3 read the trace and nothing else, so they can overlap.
-	// Each stage times itself; the shared wall clock records the overlap.
-	var (
-		conf    *conflict.Result
-		confErr error
-		mres    *match.Result
-		mErr    error
-	)
-	wall := time.Now()
-	detect := func() {
-		start := time.Now()
-		conf, confErr = conflict.DetectOpts(tr, conflict.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.DetectConflicts = time.Since(start)
-	}
-	doMatch := func() {
-		start := time.Now()
-		mres, mErr = match.MatchOpts(tr, match.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.Match = time.Since(start)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			doMatch()
-		}()
-		detect()
-		wg.Wait()
-	} else {
-		detect()
-		doMatch()
-	}
-	a.Timing.DetectMatchWall = time.Since(wall)
-	if confErr != nil {
-		return nil, fmt.Errorf("verify: conflict detection: %w", confErr)
-	}
-	if mErr != nil {
-		return nil, fmt.Errorf("verify: MPI matching: %w", mErr)
-	}
-	a.Conflicts = conf
-	a.Match = mres
-	if err := a.buildOracle(algo, opts.Workers, oc); err != nil {
+	n := len(tr.Ranks)
+	feed := func(rank int, visit batchFunc) { visit(rank, 0, tr.Ranks[rank]) }
+	if err := a.analyze(algo, opts, oc, start, n, n, feed, nil); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
+// batchFunc consumes one batch of a rank's records; seq is the sequence
+// number of the batch's first record.
+type batchFunc func(rank, seq int, recs []trace.Record)
+
+// analyze is the one analysis core behind AnalyzeOpts and AnalyzeStream.
+// Each of the inputs runs on one worker of a single pool: feed(i, visit)
+// hands one rank's records to visit in program order, batch by batch, and
+// visit runs that rank's conflict replay, MPI scan and unlink-position scan
+// on each batch. Once every input is drained, drained (when set) reports a
+// source error and completes the per-rank facts; then the cross-rank
+// finishes run and the happens-before oracle is built. The result is
+// identical for any batch partitioning and at every worker count.
+func (a *Analysis) analyze(algo Algo, opts AnalyzeOptions, oc obs.Ctx, start time.Time, nranks, inputs int,
+	feed func(i int, visit batchFunc), drained func() error) error {
+	det := conflict.NewStreamDetector(nranks)
+	sm := match.NewStreamMatcher(nranks)
+	busy := make([][2]time.Duration, nranks) // per rank: replay, scan
+	a.unlinkSeqs = make([][]int32, nranks)
+	shard := func(stage, name string, rank int) *obs.Span {
+		if oc.T == nil {
+			return nil
+		}
+		_, sp := oc.StartLane(stage+"/rank-"+strconv.Itoa(rank), name, obs.Int("rank", rank))
+		return sp
+	}
+	visit := func(rank, seq int, recs []trace.Record) {
+		t0 := time.Now()
+		sp := shard("detect", "replay", rank)
+		det.Feed(rank, recs)
+		sp.End()
+		t1 := time.Now()
+		sp = shard("match", "scan", rank)
+		sm.Feed(rank, recs)
+		sp.End()
+		busy[rank][0] += t1.Sub(t0)
+		busy[rank][1] += time.Since(t1)
+		for i := range recs {
+			if recs[i].Func == "unlink" && recs[i].Arg(0) != "" {
+				a.unlinkSeqs[rank] = append(a.unlinkSeqs[rank], int32(seq+i))
+			}
+		}
+	}
+
+	wall := time.Now()
+	par.DoObs(oc, "analyze-rank", par.Resolve(opts.Workers), inputs, func(i int) { feed(i, visit) })
+	if drained != nil {
+		if err := drained(); err != nil {
+			return err
+		}
+	}
+	for _, b := range busy {
+		a.Timing.DetectConflicts += b[0]
+		a.Timing.Match += b[1]
+	}
+	t := time.Now()
+	conf, err := det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
+	a.Timing.DetectConflicts += time.Since(t)
+	if err != nil {
+		return fmt.Errorf("verify: conflict detection: %w", err)
+	}
+	t = time.Now()
+	mres, err := sm.Finish(match.Options{Workers: opts.Workers, Obs: oc})
+	a.Timing.Match += time.Since(t)
+	if err != nil {
+		return fmt.Errorf("verify: MPI matching: %w", err)
+	}
+	a.Timing.DetectMatchWall = time.Since(wall)
+	a.Conflicts, a.Match = conf, mres
+	if err := a.buildOracle(algo, opts.Workers, oc); err != nil {
+		return err
+	}
+	a.Timing.AnalyzeWall = time.Since(start)
+	return nil
+}
+
 // buildOracle runs auto algorithm selection and happens-before construction
-// for an analysis whose Conflicts, Match and counts are already set — the
-// shared tail of AnalyzeOpts and AnalyzeStream. Only positional facts (the
-// per-rank counts) are consumed, never the records.
+// for an analysis whose Conflicts, Match and counts are already set. Only
+// positional facts (the per-rank counts) are consumed, never the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
 	if algo == AlgoAuto {
@@ -453,17 +394,9 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		return buildVC()
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
-	case AlgoTransitiveClosure:
-		tc, err := g.TransitiveClosure()
-		if err != nil {
-			// Graph too large for the closure: degrade to BFS
-			// reachability rather than failing the run.
-			a.Oracle = g.Reachability()
-			a.Algorithm = AlgoReachability
-		} else {
-			a.Oracle = tc
-		}
-	case AlgoSegment:
+	case AlgoTransitiveClosure, AlgoSegment:
+		// The transitive closure of §IV-D3 is the segment×segment matrix:
+		// the same reverse-topological OR over the skeleton.
 		_, segSpan := oc.Start("seg-reach",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
 			obs.Int("levels", g.SkeletonLevels()))
@@ -471,9 +404,14 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		segSpan.End()
 		if err != nil {
 			// Matrix over its byte budget (or skeleton not orderable):
-			// degrade to vector clocks rather than failing the run —
-			// mirroring the transitive-closure fallback above. A cyclic
-			// skeleton still fails, in the clock pass.
+			// degrade rather than fail the run — the closure to BFS
+			// reachability, the segment oracle to vector clocks (where a
+			// cyclic skeleton still fails, in the clock pass).
+			if algo == AlgoTransitiveClosure {
+				a.Oracle = g.Reachability()
+				a.Algorithm = AlgoReachability
+				return nil
+			}
 			a.Algorithm = AlgoVectorClock
 			return buildVC()
 		}

@@ -186,24 +186,11 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 	art.ranks = make([]vcache.RankManifest, nranks)
 	art.unlinkTotals = make([]int, nranks)
 	for r := 0; r < nranks; r++ {
-		if a.Trace != nil {
-			recs := a.Trace.Ranks[r]
-			art.unlinkTotals[r] = countUnlinks(recs, len(recs))
-			art.ranks[r] = vcache.RankManifest{
-				Records: len(recs),
-				Unlinks: art.unlinkTotals[r],
-				Blocks:  trace.BlockChain(recs),
-			}
-		} else {
-			// Streaming analysis: the block chains and unlink positions
-			// were digested in the ingestion pass (ChainBuilder) — the
-			// records themselves are gone.
-			art.unlinkTotals[r] = len(a.unlinkSeqs[r])
-			art.ranks[r] = vcache.RankManifest{
-				Records: a.counts[r],
-				Unlinks: art.unlinkTotals[r],
-				Blocks:  a.chains[r],
-			}
+		art.unlinkTotals[r] = len(a.unlinkSeqs[r])
+		art.ranks[r] = vcache.RankManifest{
+			Records: a.counts[r],
+			Unlinks: art.unlinkTotals[r],
+			Blocks:  a.records.chain(r),
 		}
 	}
 
@@ -272,18 +259,6 @@ func writeU32(h hash.Hash, v uint32) {
 func writeString(h hash.Hash, s string) {
 	writeU32(h, uint32(len(s)))
 	io.WriteString(h, s)
-}
-
-// countUnlinks counts fid-generation bumps among records [0, limit) —
-// exactly the records conflict.Detect's replay counts (non-empty path).
-func countUnlinks(recs []trace.Record, limit int) int {
-	n := 0
-	for i := 0; i < limit && i < len(recs); i++ {
-		if recs[i].Func == "unlink" && recs[i].Arg(0) != "" {
-			n++
-		}
-	}
-	return n
 }
 
 // modelDigest commits to the consistency model and to every option that
@@ -413,14 +388,9 @@ func (art *cacheArtifacts) dirtyState(store *vcache.Store, id string, a *Analysi
 	}
 	below := make([]int, len(d.cuts))
 	for r, cut := range d.cuts {
-		if a.Trace != nil {
-			below[r] = countUnlinks(a.Trace.Ranks[r], cut)
-		} else {
-			// Streaming analysis: count recorded unlink positions below
-			// the cut (the per-rank lists are in ascending seq order).
-			seqs := a.unlinkSeqs[r]
-			below[r] = sort.Search(len(seqs), func(i int) bool { return seqs[i] >= int32(cut) })
-		}
+		// Unlink positions below the cut (ascending per rank).
+		seqs := a.unlinkSeqs[r]
+		below[r] = sort.Search(len(seqs), func(i int) bool { return seqs[i] >= int32(cut) })
 	}
 	if !old.UnlinkSafe(d.cuts, below, art.unlinkTotals) {
 		// An unlink outside the stable region can shift fid generations

@@ -72,7 +72,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		"hbgraph.vc_arena_bytes", "hbgraph.vc_full_arena_bytes",
 		"verify.groups", "verify.checks", "verify.races",
 		"verify.hb_queries", "verify.hb_fast_hits", "verify.hb_fallbacks",
-		"par.detect-replay.tasks_submitted", "par.match-scan.tasks_completed",
+		"par.analyze-rank.tasks_submitted", "par.analyze-rank.tasks_completed",
 	} {
 		if !names[n] {
 			t.Errorf("metric %q missing from registry; have %v", n, reg.Names())

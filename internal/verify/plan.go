@@ -43,6 +43,8 @@ type opPlan struct {
 	g *hbgraph.Graph
 	// res holds one resolved operand per op, aligned with Conflicts.Ops.
 	res []resolvedRef
+	// writes[i] counts the write ops among Conflicts.Ops[:i].
+	writes []int32
 }
 
 // resolve maps one ref onto the plan's coordinate space.
@@ -70,11 +72,34 @@ func (a *Analysis) queryPlan() *opPlan {
 	}
 	ops := a.Conflicts.Ops
 	p.res = make([]resolvedRef, len(ops))
+	p.writes = make([]int32, len(ops)+1)
 	for i := range ops {
 		p.res[i] = p.resolve(ops[i].Ref)
+		p.writes[i+1] = p.writes[i]
+		if ops[i].Write {
+			p.writes[i+1]++
+		}
 	}
 	a.plan = p
 	return p
+}
+
+// mixedRun reports whether a run (ascending op indices on one rank) holds
+// both reads and writes. When the ops the run spans are all of one type, so
+// is the run: one lookup in the write counts, no walk of the run, which
+// would cost more than the run's O(log n) pruned checks.
+func (p *opPlan) mixedRun(ops []conflict.Op, ys []int32) bool {
+	lo, hi := ys[0], ys[len(ys)-1]+1
+	if w := p.writes[hi] - p.writes[lo]; w == 0 || w == hi-lo {
+		return false
+	}
+	w := ops[ys[0]].Write
+	for _, yi := range ys[1:] {
+		if ops[yi].Write != w {
+			return true
+		}
+	}
+	return false
 }
 
 // syncIndex organizes the trace's synchronization points for MSC lookup,

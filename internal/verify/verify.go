@@ -2,16 +2,14 @@ package verify
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/hbgraph"
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
+	"verifyio/internal/par"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -145,15 +143,11 @@ func Run(tr *trace.Trace, opts Options) (*Report, error) {
 
 // Verify checks every conflict of the analysis under opts.Model.
 func (a *Analysis) Verify(opts Options) (*Report, error) {
-	p, err := a.verifyPass(opts)
+	reps, err := a.VerifyAll([]semantics.Model{opts.Model}, opts)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if err := a.prefetchRecords(p.raceRefs(nil), p.opts); err != nil {
-		return nil, err
-	}
-	return p.report(time.Since(start)), nil
+	return reps[0], nil
 }
 
 // modelPass is one model's verification up to its race details: the
@@ -167,10 +161,9 @@ type modelPass struct {
 	elapsed time.Duration // the pass's own verification time
 }
 
-// raceRefs appends the records the pass's race details need from a
-// streamed trace (a materialized analysis has them all).
+// raceRefs appends the records the pass's race details need.
 func (p *modelPass) raceRefs(refs []trace.Ref) []trace.Ref {
-	if p.v == nil || p.v.a.Trace != nil {
+	if p.v == nil {
 		return refs
 	}
 	for _, rp := range p.v.pairs {
@@ -247,9 +240,7 @@ func (a *Analysis) verifyPass(opts Options) (*modelPass, error) {
 	if opts.MaxRaceDetails == 0 {
 		opts.MaxRaceDetails = 256
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	opts.Workers = par.Resolve(opts.Workers)
 	rep := &Report{
 		Model:         opts.Model.Name,
 		Algorithm:     a.Algorithm.String(),
@@ -449,13 +440,17 @@ func (v *verifier) setRun(rank int) {
 // ps implements Def. 6: X properly-synchronizes-before Y. xi and yi are the
 // ops' indices in Conflicts.Ops — the plan's operand space.
 func (v *verifier) ps(x, y *conflict.Op, xi, yi int32) bool {
+	return v.psAs(x.Write, x, y, xi, yi)
+}
+
+// psAs evaluates Def. 6 as if X's type were write: a read X needs only to
+// happen before Y (case 1), a write X an MSC instance between X and Y
+// (case 2).
+func (v *verifier) psAs(write bool, x, y *conflict.Op, xi, yi int32) bool {
 	v.checks++
-	if !x.Write {
-		// Case 1: a read followed in happens-before order by the
-		// conflicting (write) operation.
+	if !write {
 		return v.hbRes(v.plan.res[xi], v.plan.res[yi])
 	}
-	// Case 2: an MSC instance between X and Y.
 	return v.mscExists(x, y, xi, yi)
 }
 
@@ -670,12 +665,16 @@ func (v *verifier) verifyGroups(lo, hi int) {
 }
 
 // verifyRun applies the Fig. 3 pruning to one (X, ζ_r) run, generalized to
-// a pair of binary searches over the two monotone predicates:
+// binary searches over monotone predicates:
 //
 //   - X ps Y_i is monotone non-decreasing in i (rules 1 and 3): an MSC to
 //     Y_i extends to any later Y_j by program order.
-//   - Y_i ps X is monotone non-increasing in i (rules 2 and 4): an MSC
-//     from Y_i restricts to any earlier Y_j.
+//   - Y_i ps X is monotone non-increasing in i (rules 2 and 4) for each
+//     type of Y alone: an MSC (or hb edge) from Y_i restricts to any
+//     earlier Y_j. A run mixing reads (which need only hb) with writes
+//     (which need an MSC) is not monotone as a whole, so there the two
+//     predicates are searched separately — unless the model's MSC is the
+//     lone hb edge (POSIX), where both types share one predicate.
 //
 // (The paper states rule 4 with Y_n; the sound monotone form anchors the
 // negative direction at Y_1 — checking Y_1 clears or dooms the whole run.)
@@ -687,17 +686,33 @@ func (v *verifier) verifyRun(x *conflict.Op, xi int32, ys []int32) {
 	n := len(ys)
 	// iF: first index with X ps Y_i (n when none).
 	iF := sort.Search(n, func(i int) bool { return v.ps(x, &ops[ys[i]], xi, ys[i]) })
-	// iG: first index where Y_i ps X stops holding; indices < iG hold.
-	iG := sort.Search(n, func(i int) bool { return !v.ps(&ops[ys[i]], x, ys[i], xi) })
-	// Pairs in [iG, iF) are synchronized in neither direction.
-	for i := iG; i < iF; i++ {
-		v.recordRace(x, &ops[ys[i]])
+	// gR/gW: first index where Y_i ps X stops holding for a read/write Y_i;
+	// indices below hold.
+	var gR, gW int
+	if msc := v.opts.Model.MSC; (msc.K() == 0 && msc.Edges[0] == semantics.HB) || !v.plan.mixedRun(ops, ys) {
+		gR = sort.Search(n, func(i int) bool { return !v.ps(&ops[ys[i]], x, ys[i], xi) })
+		gW = gR
+	} else {
+		search := func(write bool, n int) int {
+			return sort.Search(n, func(i int) bool { return !v.psAs(write, &ops[ys[i]], x, ys[i], xi) })
+		}
+		// Every MSC instance is a po/hb chain, so an MSC from Y_i implies
+		// Y_i hb X: the MSC prefix lies within the hb one.
+		gR = search(false, n)
+		gW = search(true, gR)
+	}
+	// Pairs below iF not synchronized from Y_i are synchronized in neither
+	// direction: from gR on every pair, between gW and gR the writes.
+	for i := gW; i < iF; i++ {
+		if y := &ops[ys[i]]; i >= gR || y.Write {
+			v.recordRace(x, y)
+		}
 	}
 }
 
 // verifyChunks runs the chunk plan — the shared unit of parallel work and
-// of verdict caching. With workers > 1, workers claim chunks from an atomic
-// cursor; the per-chunk verifiers are then merged in chunk order = group
+// of verdict caching. With workers > 1, workers claim chunks from a par.Do
+// pool; the per-chunk verifiers are then merged in chunk order = group
 // order, so the detailed-race prefix, the race count and the check count
 // are exactly what the serial walk produces, at every worker count and for
 // any mix of cached and recomputed chunks. A non-nil cs resolves chunks
@@ -726,28 +741,7 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 			cs.seal(c, sh)
 		}
 	}
-	if workers <= 1 || nchunks <= 1 {
-		for c := 0; c < nchunks; c++ {
-			work(c)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(cursor.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					work(c)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.Do(workers, nchunks, work)
 	// Merge in chunk order = group order: each shard capped its detail at
 	// MaxRaceDetails, which is enough because the global detail prefix
 	// draws at most that many races from any shard's own prefix.
@@ -782,8 +776,8 @@ func (v *verifier) recordRace(x, y *conflict.Op) {
 // makeRace materializes the reported detail (paths, call chains) for one
 // raced pair.
 func (v *verifier) makeRace(p racePair) Race {
-	rx := v.a.record(p.x.Ref)
-	ry := v.a.record(p.y.Ref)
+	rx := v.a.records.record(p.x.Ref)
+	ry := v.a.records.record(p.y.Ref)
 	return Race{
 		X: *p.x, Y: *p.y,
 		File:   v.a.Conflicts.PathOf(p.x.FID),
@@ -809,32 +803,18 @@ func fullChain(rec *trace.Record) []string {
 // every model's raced records in one re-decode. Report order always follows
 // the models argument.
 func (a *Analysis) VerifyAll(models []semantics.Model, opts Options) ([]*Report, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	passes := make([]*modelPass, len(models))
 	errs := make([]error, len(models))
-	run := func(i int) {
+	// Model passes run all at once unless the run is serial.
+	workers := len(models)
+	if par.Resolve(opts.Workers) == 1 {
+		workers = 1
+	}
+	par.Do(workers, len(models), func(i int) {
 		o := opts
 		o.Model = models[i]
 		passes[i], errs[i] = a.verifyPass(o)
-	}
-	if workers == 1 || len(models) == 1 {
-		for i := range models {
-			run(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range models {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(i)
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("verify: model %s: %w", models[i].Name, err)
@@ -846,7 +826,7 @@ func (a *Analysis) VerifyAll(models []semantics.Model, opts Options) ([]*Report,
 	}
 	start := time.Now()
 	if len(passes) > 0 {
-		if err := a.prefetchRecords(refs, passes[0].opts); err != nil {
+		if err := a.records.fetch(refs, passes[0].opts); err != nil {
 			return nil, err
 		}
 	}

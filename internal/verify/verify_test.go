@@ -246,59 +246,6 @@ func TestUnmatchedMPIAbortsVerification(t *testing.T) {
 	}
 }
 
-func TestPruningMatchesExhaustive(t *testing.T) {
-	// A group with many conflicting ops on the other rank: pruning must
-	// give identical races with far fewer checks.
-	prog := func(r *recorder.Rank) error {
-		c := r.Proc().CommWorld()
-		fd, err := r.Open("big.dat", posixfs.ORdwr|posixfs.OCreate)
-		if err != nil {
-			return err
-		}
-		if r.Rank() == 0 {
-			if _, err := r.Pwrite(fd, make([]byte, 1024), 0); err != nil {
-				return err
-			}
-			if err := r.Fsync(fd); err != nil {
-				return err
-			}
-		}
-		if err := r.Barrier(c); err != nil {
-			return err
-		}
-		if r.Rank() == 1 {
-			for i := int64(0); i < 40; i++ {
-				if _, err := r.Pread(fd, 16, i*16); err != nil {
-					return err
-				}
-			}
-		}
-		return r.Close(fd)
-	}
-	tr := runTraced(t, 2, prog)
-	for _, model := range semantics.All() {
-		a, err := Analyze(tr, AlgoVectorClock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := a.Verify(Options{Model: model})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exhaustive, err := a.Verify(Options{Model: model, DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pruned.RaceCount != exhaustive.RaceCount {
-			t.Errorf("%s: pruned %d races vs exhaustive %d", model.Name, pruned.RaceCount, exhaustive.RaceCount)
-		}
-		if pruned.ChecksPerformed >= exhaustive.ChecksPerformed {
-			t.Errorf("%s: pruning performed %d checks, exhaustive %d — no reduction",
-				model.Name, pruned.ChecksPerformed, exhaustive.ChecksPerformed)
-		}
-	}
-}
-
 func TestRaceReportCarriesCallChains(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	rep, err := Run(tr, Options{Model: semantics.MPIIOModel(), Algo: AlgoVectorClock})

@@ -225,7 +225,12 @@ func ReadTraceDir(dir string) (*Trace, error) {
 
 // ReadOptions tunes trace loading.
 type ReadOptions struct {
-	// Tolerate enables lenient loading (see ReadTraceDirTolerant).
+	// Tolerate enables lenient loading: damaged or missing rank streams are
+	// salvaged to their longest well-formed prefix instead of failing the
+	// whole load, and a Recovery reports exactly what was kept and lost per
+	// rank. Verifying a salvaged trace is equivalent to verifying an
+	// execution that stopped where the trace breaks off — partial evidence,
+	// reported honestly.
 	Tolerate bool
 	// Telemetry instruments the load (a "read-trace" span with per-rank
 	// children, trace.* metrics). Nil disables.
@@ -238,8 +243,8 @@ type ReadOptions struct {
 }
 
 // ReadTraceDirOpts loads a trace directory with explicit options; it
-// subsumes ReadTraceDir (zero options) and ReadTraceDirTolerant
-// (Tolerate: true). The Recovery is non-nil only in tolerate mode.
+// subsumes ReadTraceDir (zero options). The Recovery is non-nil only in
+// tolerate mode.
 func ReadTraceDirOpts(dir string, opts ReadOptions) (*Trace, *Recovery, error) {
 	tr, stats, err := trace.ReadDirWithOptions(dir, trace.DecodeOptions{
 		Tolerate: opts.Tolerate,
@@ -295,16 +300,6 @@ type Recovery struct {
 
 // Clean reports whether the load salvaged nothing — the trace was intact.
 func (r *Recovery) Clean() bool { return r == nil || len(r.Ranks) == 0 }
-
-// ReadTraceDirTolerant loads a trace directory leniently: damaged or missing
-// rank streams are salvaged to their longest well-formed prefix instead of
-// failing the whole load, and the returned Recovery reports exactly what was
-// kept and lost per rank. Verifying a salvaged trace is equivalent to
-// verifying an execution that stopped where the trace breaks off — partial
-// evidence, reported honestly.
-func ReadTraceDirTolerant(dir string) (*Trace, *Recovery, error) {
-	return ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
-}
 
 // TraceProgram runs prog once per rank under the Recorder⁺ tracer, against
 // a simulated file system providing the given consistency model, and
@@ -366,15 +361,14 @@ type Options struct {
 	MaxRaceDetails int
 	// ContinueOnUnmatched verifies even when MPI matching found problems.
 	ContinueOnUnmatched bool
-	// Workers is the number of goroutines used across steps 2–4: conflict
-	// detection shards its per-rank replay and per-file sweep, MPI
-	// matching its per-rank scan (with the two steps also running
-	// concurrently with each other), and verification shards the conflict
-	// groups (plus running models concurrently in VerifyAll). On the
-	// streaming entry points it is also how many rank files decode at
-	// once, each with its share of ReadOptions.WindowBytes. 0 means
-	// GOMAXPROCS; 1 forces the fully serial path. Results are independent
-	// of the worker count.
+	// Workers is the number of goroutines used across steps 2–4: each
+	// rank's conflict replay and MPI scan run on their own worker,
+	// conflict detection shards its per-file sweep, and verification
+	// shards the conflict groups (plus running models concurrently in
+	// VerifyAll). On the streaming entry points it is also how many rank
+	// files decode at once, each with its share of ReadOptions.WindowBytes.
+	// 0 means GOMAXPROCS; 1 forces the fully serial path. Results are
+	// independent of the worker count.
 	Workers int
 	// Telemetry instruments the run with tracing spans and runtime metrics
 	// (see Telemetry). Nil disables instrumentation; the disabled path
@@ -442,29 +436,35 @@ type Problem struct {
 	Detail string
 }
 
-// Timing is the stage breakdown of a verification run (Table IV).
+// Timing is the stage breakdown of a verification run (Table IV), with one
+// meaning on every entry point: each stage field is that stage's busy time
+// — the sum over ranks of its per-rank work, plus its cross-rank finish —
+// and the "Wall"-suffixed fields are elapsed time (see verify.Timing).
 type Timing struct {
+	// ReadTrace is decode busy time: the streaming entry points sum each
+	// rank's decode time; a materialized trace was loaded before the call,
+	// so it stays zero there.
 	ReadTrace       time.Duration
 	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching), previously lumped into
-	// BuildGraph.
+	// Match covers step 3 (MPI matching).
 	Match        time.Duration
 	BuildGraph   time.Duration
 	VectorClock  time.Duration
 	Verification time.Duration
-	// DetectMatchWall is the wall-clock time of the combined conflict
-	// detection / MPI matching phase, which runs both steps concurrently
-	// when Options.Workers != 1. It reports overlap (wall < detect+match)
-	// and, like every "Wall"-suffixed field, is excluded from Total.
+	// DetectMatchWall is the elapsed time of the per-rank pass (decode when
+	// streaming, conflict replay, MPI scan) and the two cross-rank
+	// finishes. With Options.Workers != 1 the ranks run concurrently, so it
+	// can be less than the busy-time sum; like every "Wall"-suffixed field,
+	// it is excluded from Total.
 	DetectMatchWall time.Duration
-	// AnalyzeWall is the wall-clock time of the whole analysis front-end
+	// AnalyzeWall is the elapsed time of the whole analysis front-end
 	// (steps 2–3 plus happens-before construction) — the elapsed time a
 	// caller observes. Overlaps the per-stage fields; excluded from Total.
 	AnalyzeWall time.Duration
 }
 
-// Total sums the per-stage durations; wall-clock overlap fields
-// ("Wall"-suffixed) are excluded to avoid double-reporting.
+// Total sums the per-stage busy times; elapsed-time fields ("Wall"-suffixed)
+// are excluded to avoid double-reporting.
 func (t Timing) Total() time.Duration {
 	return t.ReadTrace + t.DetectConflicts + t.Match + t.BuildGraph + t.VectorClock + t.Verification
 }
@@ -565,15 +565,7 @@ func wrapReport(rep *verify.Report) *Report {
 		}
 	}
 	for _, race := range rep.Races {
-		out.Races = append(out.Races, Race{
-			File:  race.File,
-			FuncX: race.FuncX, FuncY: race.FuncY,
-			RankX: race.X.Ref.Rank, RankY: race.Y.Ref.Rank,
-			StartX: race.X.Start, EndX: race.X.End,
-			StartY: race.Y.Start, EndY: race.Y.End,
-			ChainX: race.ChainX, ChainY: race.ChainY,
-			Level: race.Level(),
-		})
+		out.Races = append(out.Races, wrapRace(race))
 	}
 	for _, p := range rep.Problems {
 		out.Problems = append(out.Problems, Problem{Kind: p.Kind.String(), Detail: p.Detail})
@@ -618,29 +610,25 @@ func Diagnose(t *Trace, model Model, opts *Options) (*Report, []Diagnosis, error
 	if err != nil {
 		return nil, nil, err
 	}
-	a, err := analyzeTrace(t, opts)
+	a, reps, err := verifyModels(t.analyze, []semantics.Model{m}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, nil, err
-	}
+	rep := reps[0]
 	var out []Diagnosis
-	for _, d := range a.Diagnose(rep, m) {
+	for _, d := range a.Diagnose(rep.inner, m) {
 		out = append(out, Diagnosis{
-			Race:        wrapReport(rep).raceFor(d.Race),
+			Race:        wrapRace(d.Race),
 			Category:    d.Category.String(),
 			Responsible: d.Responsible,
 			Suggestion:  d.Suggestion,
 		})
 	}
-	return wrapReport(rep), out, nil
+	return rep, out, nil
 }
 
-// raceFor converts an internal race to the public form (helper for
-// Diagnose; details match the Races slice entries).
-func (r *Report) raceFor(race verify.Race) Race {
+// wrapRace converts an internal race to the public form.
+func wrapRace(race verify.Race) Race {
 	return Race{
 		File:  race.File,
 		FuncX: race.FuncX, FuncY: race.FuncY,
@@ -652,19 +640,63 @@ func (r *Report) raceFor(race verify.Race) Race {
 	}
 }
 
-// analyzeTrace builds the shared analysis front-end for a materialized
-// trace, carrying its salvage state into verdict-cache identity.
-func analyzeTrace(t *Trace, opts *Options) (*verify.Analysis, error) {
-	algo, err := opts.algo()
-	if err != nil {
-		return nil, err
-	}
-	a, err := verify.AnalyzeOpts(t.t, algo, opts.analyzeOptions())
+// analyzer builds the analysis of one trace source: a materialized trace
+// (Trace.analyze) or a directory streamed (streamDir).
+type analyzer func(verify.Algo, verify.AnalyzeOptions) (*verify.Analysis, error)
+
+// analyze runs the analysis front-end on the materialized trace, carrying
+// its salvage state into verdict-cache identity.
+func (t *Trace) analyze(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+	a, err := verify.AnalyzeOpts(t.t, algo, ao)
 	if err != nil {
 		return nil, err
 	}
 	a.SetSalvage(t.salvage)
 	return a, nil
+}
+
+// streamDir runs the analysis front-end directly off the on-disk trace
+// stream (see verify.AnalyzeStream), never materializing the trace.
+func streamDir(dir string, read ReadOptions) analyzer {
+	return func(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+		return verify.AnalyzeStream(dir, algo, verify.StreamAnalyzeOptions{
+			AnalyzeOptions: ao,
+			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate, Obs: read.Telemetry.ctx()},
+			WindowBytes:    read.WindowBytes,
+		})
+	}
+}
+
+// recovery is the Recovery a streaming entry point returns: non-nil only in
+// tolerate mode.
+func (read ReadOptions) recovery(a *verify.Analysis) *Recovery {
+	if !read.Tolerate {
+		return nil
+	}
+	return recoveryFromStats(a.Salvage())
+}
+
+// verifyModels is the path every verification entry point shares: analyze,
+// verify the analysis against each model and wrap the reports (in the
+// models' order).
+func verifyModels(analyze analyzer, models []semantics.Model, opts *Options) (*verify.Analysis, []*Report, error) {
+	algo, err := opts.algo()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := analyze(algo, opts.analyzeOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	reps, err := a.VerifyAll(models, opts.verifyOptions(semantics.Model{}))
+	if err != nil {
+		return nil, nil, fmt.Errorf("verifyio: %w", err)
+	}
+	out := make([]*Report, len(reps))
+	for i, rep := range reps {
+		out[i] = wrapReport(rep)
+	}
+	return a, out, nil
 }
 
 // Verify runs steps 2–4 of the workflow on a trace for one model.
@@ -673,15 +705,11 @@ func Verify(t *Trace, model Model, opts *Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := analyzeTrace(t, opts)
+	_, reps, err := verifyModels(t.analyze, []semantics.Model{m}, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, err
-	}
-	return wrapReport(rep), nil
+	return reps[0], nil
 }
 
 // VerifyAll verifies a trace against all four models, sharing the conflict
@@ -689,85 +717,36 @@ func Verify(t *Trace, model Model, opts *Options) (*Report, error) {
 // Options.Workers != 1 the four model passes run concurrently over the
 // shared analysis.
 func VerifyAll(t *Trace, opts *Options) ([]*Report, error) {
-	a, err := analyzeTrace(t, opts)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := a.VerifyAll(semantics.All(), opts.verifyOptions(semantics.Model{}))
-	if err != nil {
-		return nil, fmt.Errorf("verifyio: %w", err)
-	}
-	out := make([]*Report, len(reps))
-	for i, rep := range reps {
-		out[i] = wrapReport(rep)
-	}
-	return out, nil
-}
-
-// analyzeStreamDir builds the analysis front-end directly off the on-disk
-// trace stream (see verify.AnalyzeStream), never materializing the trace.
-func analyzeStreamDir(dir string, read ReadOptions, opts *Options) (*verify.Analysis, *Recovery, error) {
-	algo, err := opts.algo()
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := verify.AnalyzeStream(dir, algo, verify.StreamAnalyzeOptions{
-		AnalyzeOptions: opts.analyzeOptions(),
-		Decode: trace.DecodeOptions{
-			Tolerate: read.Tolerate,
-			Obs:      read.Telemetry.ctx(),
-		},
-		WindowBytes: read.WindowBytes,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !read.Tolerate {
-		return a, nil, nil
-	}
-	return a, recoveryFromStats(a.Salvage()), nil
+	_, reps, err := verifyModels(t.analyze, semantics.All(), opts)
+	return reps, err
 }
 
 // VerifyStream verifies the trace directory against one model while
 // decoding it, holding at most ReadOptions.WindowBytes of decoded records at
 // a time instead of the whole trace (conflict detection, MPI matching and
 // the cache digests consume each record batch as it decodes). The report is
-// identical to ReadTraceDirOpts + Verify on the same directory, except for
-// the Timing split: the fused pass reports its wall time as DetectMatchWall,
-// with DetectConflicts and Match covering only each stage's cross-rank
-// finish phase and ReadTrace staying zero. The Recovery is non-nil only in
-// tolerate mode.
+// identical to ReadTraceDirOpts + Verify on the same directory, Timing
+// included in meaning; its ReadTrace is the decode busy time. The Recovery
+// is non-nil only in tolerate mode.
 func VerifyStream(dir string, model Model, read ReadOptions, opts *Options) (*Report, *Recovery, error) {
 	m, err := model.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	a, rec, err := analyzeStreamDir(dir, read, opts)
+	a, reps, err := verifyModels(streamDir(dir, read), []semantics.Model{m}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, nil, err
-	}
-	return wrapReport(rep), rec, nil
+	return reps[0], read.recovery(a), nil
 }
 
 // VerifyAllStream is VerifyStream across all four models, sharing the
 // single fused decode/detect/match pass and the happens-before construction
 // between them exactly as VerifyAll shares a materialized analysis.
 func VerifyAllStream(dir string, read ReadOptions, opts *Options) ([]*Report, *Recovery, error) {
-	a, rec, err := analyzeStreamDir(dir, read, opts)
+	a, reps, err := verifyModels(streamDir(dir, read), semantics.All(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	reps, err := a.VerifyAll(semantics.All(), opts.verifyOptions(semantics.Model{}))
-	if err != nil {
-		return nil, nil, fmt.Errorf("verifyio: %w", err)
-	}
-	out := make([]*Report, len(reps))
-	for i, rep := range reps {
-		out[i] = wrapReport(rep)
-	}
-	return out, rec, nil
+	return reps, read.recovery(a), nil
 }
